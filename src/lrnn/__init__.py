@@ -1,9 +1,11 @@
 """Nonnegative quasi-linear random neural network autoencoders.
 
 Training uses NMF-style multiplicative weight updates kept inside the RNN
-probability constraints; trained models can be cross-checked against the
-general recurrent steady-state equations and validated by discrete-event
-simulation of the underlying spiking network.
+probability constraints, through one entry point, :func:`train`, that fits
+shallow and deep models jointly or greedily stage by stage; trained models
+can be cross-checked against the general recurrent steady-state equations
+and validated by discrete-event simulation of the underlying spiking
+network.
 """
 
 from .data import (
@@ -53,9 +55,7 @@ from .training import (
     init_weights,
     project_rows,
     rescale_saturation,
-    train_greedy,
-    train_joint,
-    train_shallow,
+    train,
     update_decode,
     update_encode,
 )
@@ -99,9 +99,7 @@ __all__ = [
     "save_model",
     "solve_steady_state",
     "step_event",
-    "train_greedy",
-    "train_joint",
-    "train_shallow",
+    "train",
     "update_decode",
     "update_encode",
     "validate_constraints",

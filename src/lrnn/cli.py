@@ -20,7 +20,7 @@ from .model import LrnnModel, dataset_error, forward
 from .model_io import load_model, save_model
 from .simulation import DeadNetworkError, QEstimate, compare, compile_sim, run
 from .steady_state import ConvergenceError
-from .training import TrainConfig, train_greedy, train_joint, train_shallow
+from .training import TrainConfig, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -84,6 +84,13 @@ def _load_data(args) -> data_mod.Dataset:
     )
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
+
+
 def _parse_arch(spec: str) -> list[int]:
     try:
         dims = [int(v) for v in spec.split(",")]
@@ -136,13 +143,9 @@ def cmd_train(args) -> int:
             if iteration % every == 0:
                 full_rows[iteration] = dataset_error(model, dataset.x)
 
+    algo = "greedy" if args.algo == "greedy" else "joint"  # shallow is joint at depth 1
     try:
-        if args.algo == "shallow":
-            model, report = train_shallow(dataset.x, (dims[0], dims[1]), cfg, observer)
-        elif args.algo == "greedy":
-            model, report = train_greedy(dataset.x, dims, cfg, observer)
-        else:
-            model, report = train_joint(dataset.x, dims, cfg, observer)
+        model, report = train(dataset.x, dims, cfg, algo, observer)
     except (ValueError, ConvergenceError, FloatingPointError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -251,9 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(p)
     p.add_argument("--arch", required=True, help="layer sizes, e.g. 784,100")
     p.add_argument("--algo", choices=["shallow", "greedy", "joint"], default="shallow")
-    p.add_argument("--batch", type=int, default=100)
-    p.add_argument("--iters", type=int, default=None, help="total minibatch updates")
-    p.add_argument("--epochs", type=int, default=None, help="full passes over the data")
+    p.add_argument("--batch", type=_positive_int, default=100)
+    p.add_argument("--iters", type=_positive_int, default=None, help="total minibatch updates")
+    p.add_argument("--epochs", type=_positive_int, default=None, help="full passes over the data")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rel-tol", type=float, default=0.0, help="early-stop relative tolerance")
     p.add_argument("--shuffle", action="store_true", help="shuffle batches each epoch")
@@ -261,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curve", default=None, help="write iter,error CSV here")
     p.add_argument(
         "--full-error-every",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="K",
         help="add a whole-dataset error row to the curve every K iterations",
@@ -278,8 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(p)
     p.add_argument("--model", required=True)
     p.add_argument("--index", type=int, default=0, help="instance row to simulate")
-    p.add_argument("--events", type=int, required=True)
-    p.add_argument("--observe-every", type=int, default=1000)
+    p.add_argument("--events", type=_positive_int, required=True)
+    p.add_argument("--observe-every", type=_positive_int, default=1000)
     p.add_argument("--burn-in", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="comparison CSV (layer,neuron,q_sim,q_num,abs_diff)")

@@ -26,10 +26,15 @@ def _as_2d(a, name: str) -> np.ndarray:
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce ``a`` to a C-contiguous 2-D float64 array of nonnegative entries."""
+    """Coerce ``a`` to a C-contiguous 2-D float64 array of finite nonnegative entries."""
     m = _as_2d(a, name)
-    if m.size and float(m.min()) < 0.0:
-        raise ValueError(f"{name} must be nonnegative")
+    if m.size:
+        # min and max propagate NaN and allocate nothing the size of the data
+        lo, hi = float(m.min()), float(m.max())
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise ValueError(f"{name} has NaN or infinite entries")
+        if lo < 0.0:
+            raise ValueError(f"{name} must be nonnegative")
     return m
 
 
@@ -164,7 +169,7 @@ def dataset_error(model: LrnnModel, x, chunk_rows: int = 4096) -> float:
     Equivalent to ``reconstruction_error(x, forward(model, x).output)`` but
     does not materialize every layer's activations for the full dataset.
     """
-    x = as_matrix(x, "x")
+    x = _as_2d(x, "x")  # forward validates the entries chunk by chunk
     if x.shape[0] == 0:
         raise ValueError("empty dataset")
     total = 0.0
@@ -181,17 +186,18 @@ class ConstraintViolation:
 
     layer: str
     row: int
-    kind: str  # "negative" or "row_sum"
+    kind: str  # "non_finite", "negative" or "row_sum"
     value: float
 
 
 def validate_constraints(model: LrnnModel) -> list[ConstraintViolation]:
     """List every (layer, row) violating the RNN constraints.
 
-    A row is reported with kind ``"negative"`` if it contains a negative
-    entry (value = the most negative entry) and with kind ``"row_sum"``
-    if its sum exceeds ``1 + ROW_SUM_SLACK`` (value = the sum).  An empty
-    list means the model is valid.
+    A row is reported with kind ``"non_finite"`` if it contains NaN or an
+    infinity (value = the sum), with kind ``"negative"`` if it contains a
+    negative entry (value = the most negative entry) and with kind
+    ``"row_sum"`` if its sum exceeds ``1 + ROW_SUM_SLACK`` (value = the
+    sum).  An empty list means the model is valid.
     """
     violations: list[ConstraintViolation] = []
     layers = [(f"W{m + 1}", w) for m, w in enumerate(model.encode_weights)]
@@ -199,6 +205,9 @@ def validate_constraints(model: LrnnModel) -> list[ConstraintViolation]:
     for name, w in layers:
         row_min = w.min(axis=1)
         row_sum = w.sum(axis=1)
+        for row in np.flatnonzero(~(np.isfinite(row_min) & np.isfinite(w.max(axis=1)))):
+            value = float(row_sum[row])
+            violations.append(ConstraintViolation(name, int(row), "non_finite", value))
         for row in np.flatnonzero(row_min < 0.0):
             violations.append(ConstraintViolation(name, int(row), "negative", float(row_min[row])))
         for row in np.flatnonzero(row_sum > 1.0 + ROW_SUM_SLACK):

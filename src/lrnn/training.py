@@ -7,16 +7,21 @@ encode layer, W its weights and WB the paired decode weights, one update is
     W  <- W  * (A^T A WB^T) / (A^T A W WB WB^T)        (elementwise)
     WB <- WB * (W^T A^T A)  / (W^T A^T A W WB)
 
-Zero denominator entries are replaced by a tiny floor before dividing, so
+Zero denominator entries are replaced by ``EPS_FLOOR`` before dividing, so
 the rules are total and preserve both nonnegativity and exact zeros.
 After each update the weights are pushed back inside the constraint set
 (rows summing above 1 are normalized onto the boundary) and every unit
 whose batch pre-activation peaks above the saturation level 1 is scaled
 back onto the boundary.
 
-Training runs minibatch-sequentially: per batch, each encode layer and its
+One minibatch loop does all training: per batch, each encode layer and its
 mirrored decode layer are updated in turn, feeding the clamped activations
-forward.  A shallow model is the depth-1 case of the same loop.
+forward.  A pair whose input is all zero is skipped, as the rules would zero
+it for good.  ``algo="joint"`` runs the loop once over all layers (a shallow
+model is the one-hidden-layer case); ``algo="greedy"`` runs it once per
+stage, stage m being a depth-1 model seeded ``cfg.seed + m - 1`` and fit on
+the clamped code of stage m-1.  Observers see the model trained so far: in
+greedy mode the finished stages stacked around the current one.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import numpy as np
 from .data import iter_minibatches
 from .model import LrnnModel, as_matrix, clamp_unit, dataset_error, reconstruction_error
 
-#: Default replacement for exact-zero denominators (IEEE double machine epsilon).
+#: Replacement for exact-zero denominators (IEEE double machine epsilon).
 EPS_FLOOR = float(np.finfo(np.float64).eps)
 
 #: Relative margin keeping freshly initialized row sums strictly below 1.
@@ -60,15 +65,14 @@ class TrainConfig:
     max_epochs: int | None = None
     max_iterations: int | None = None
     seed: int = 0
-    eps_floor: float = EPS_FLOOR
     rel_tol: float = 0.0
     shuffle: bool = False
 
     def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.eps_floor <= 0.0:
-            raise ValueError("eps_floor must be positive")
+        for name in ("batch_size", "max_epochs", "max_iterations"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass
@@ -81,6 +85,13 @@ class TrainReport:
     wall_time: float = 0.0
 
 
+def _encode_dims(encode_dims: Sequence[int]) -> list[int]:
+    dims = [int(d) for d in encode_dims]
+    if len(dims) < 2 or any(d < 1 for d in dims):
+        raise ValueError(f"encode dims need >= 2 positive entries, got {encode_dims}")
+    return dims
+
+
 def init_weights(encode_dims: Sequence[int], seed: int) -> LrnnModel:
     """Random model satisfying the RNN constraints, deterministic in ``seed``.
 
@@ -88,9 +99,7 @@ def init_weights(encode_dims: Sequence[int], seed: int) -> LrnnModel:
     divided by its sum times (1 + 1e-6) so all row sums land strictly
     below 1.  Encode layers are drawn first, then decode layers.
     """
-    dims = [int(d) for d in encode_dims]
-    if len(dims) < 2 or any(d < 1 for d in dims):
-        raise ValueError(f"encode dims need >= 2 positive entries, got {encode_dims}")
+    dims = _encode_dims(encode_dims)
     rng = np.random.default_rng(seed)
 
     def draw(rows: int, cols: int) -> np.ndarray:
@@ -104,47 +113,45 @@ def init_weights(encode_dims: Sequence[int], seed: int) -> LrnnModel:
     return LrnnModel(encode, decode)
 
 
-def _multiplicative_encode(gram, w, wb, eps_floor):
+def _multiplicative_encode(gram, w, wb):
     num = gram @ wb.T
     den = (gram @ w) @ (wb @ wb.T)
-    den[den == 0.0] = eps_floor
+    den[den == 0.0] = EPS_FLOOR
     return w * num / den
 
 
-def _multiplicative_decode(gram, w, wb, eps_floor):
+def _multiplicative_decode(gram, w, wb):
     num = w.T @ gram
     den = (w.T @ gram @ w) @ wb
-    den[den == 0.0] = eps_floor
+    den[den == 0.0] = EPS_FLOOR
     return wb * num / den
 
 
-def update_encode(model: LrnnModel, m: int, a, eps_floor: float = EPS_FLOOR) -> np.ndarray:
+def _layer_operands(model: LrnnModel, m: int, a):
+    a = as_matrix(a, "a")
+    w = model.encode_weights[m - 1]
+    if a.shape[1] != w.shape[0]:
+        raise ValueError(f"activations have {a.shape[1]} columns, layer {m} expects {w.shape[0]}")
+    return a.T @ a, w, model.decode_weights[model.depth - m]
+
+
+def update_encode(model: LrnnModel, m: int, a) -> np.ndarray:
     """One multiplicative update of encode layer ``m`` (1-based), not applied.
 
     ``a`` is the layer's input activation for the current minibatch: the
     clamped batch itself for m=1, otherwise the (m-1)-th encode activation.
     The paired decode weights are those of the mirrored layer.
     """
-    a = as_matrix(a, "a")
-    w = model.encode_weights[m - 1]
-    wb = model.decode_weights[model.depth - m]
-    if a.shape[1] != w.shape[0]:
-        raise ValueError(f"activations have {a.shape[1]} columns, layer {m} expects {w.shape[0]}")
-    return _multiplicative_encode(a.T @ a, w, wb, eps_floor)
+    return _multiplicative_encode(*_layer_operands(model, m, a))
 
 
-def update_decode(model: LrnnModel, m: int, a, eps_floor: float = EPS_FLOOR) -> np.ndarray:
+def update_decode(model: LrnnModel, m: int, a) -> np.ndarray:
     """Multiplicative update of the decode layer mirroring encode layer ``m``.
 
     Uses the model's current encode weights W_m, so when following the
     training order the freshly updated W_m must already be in the model.
     """
-    a = as_matrix(a, "a")
-    w = model.encode_weights[m - 1]
-    wb = model.decode_weights[model.depth - m]
-    if a.shape[1] != w.shape[0]:
-        raise ValueError(f"activations have {a.shape[1]} columns, layer {m} expects {w.shape[0]}")
-    return _multiplicative_decode(a.T @ a, w, wb, eps_floor)
+    return _multiplicative_decode(*_layer_operands(model, m, a))
 
 
 def project_rows(w: np.ndarray) -> np.ndarray:
@@ -174,143 +181,96 @@ def rescale_saturation(w: np.ndarray, a: np.ndarray) -> np.ndarray:
     return w / np.maximum(peaks, 1.0)
 
 
-def _pair_step(a, w, wb, eps_floor):
+def _pair_step(a, w, wb):
     """One Algorithm body for an (encode, decode) pair on input activations ``a``.
 
     Returns the new weights plus h = min(a @ w, 1), the activations feeding
     the next layer.
     """
     gram = a.T @ a
-    w = _multiplicative_encode(gram, w, wb, eps_floor)
+    w = _multiplicative_encode(gram, w, wb)
     w = project_rows(w)
     pre = a @ w
     scale = np.maximum(pre.max(axis=0), 1.0)
     w = w / scale
     pre = pre / scale
-    wb = _multiplicative_decode(gram, w, wb, eps_floor)
+    wb = _multiplicative_decode(gram, w, wb)
     wb = project_rows(wb)
     h = clamp_unit(pre)
     wb = rescale_saturation(wb, h)
     return w, wb, h
 
 
-def _train_minibatch(x, model, cfg, observer) -> TrainReport:
-    """Shared minibatch loop: updates ``model`` in place and collects the curve."""
-    x = as_matrix(x, "x")
-    if x.shape[0] == 0:
-        raise ValueError("empty dataset")
-    if x.shape[1] != model.visible_dim:
-        raise ValueError(
-            f"dataset has {x.shape[1]} attributes but model expects {model.visible_dim}"
-        )
-    if cfg.max_iterations is None and cfg.max_epochs is None:
-        raise ValueError("set max_iterations and/or max_epochs in TrainConfig")
+def _fit(x, model, first, cfg, curve, observer) -> None:
+    """The minibatch loop: trains pairs ``first``..depth-1 (0-based) of ``model``
+    in place on ``x``, the input of encode layer ``first``; appends to ``curve``.
+
+    Iterations are numbered on from the last entry of ``curve``; the
+    budget and the early stop count this call's iterations only.
+    """
     order_rng = np.random.default_rng([cfg.seed, _SHUFFLE_STREAM]) if cfg.shuffle else None
     depth = model.depth
-    start = time.perf_counter()
-    curve: list[tuple[int, float]] = []
+    offset = len(curve)
     errors: list[float] = []
-    iteration = 0
     epoch = 0
-    done = False
-    while not done:
+    while cfg.max_epochs is None or epoch < cfg.max_epochs:
         epoch += 1
-        if cfg.max_epochs is not None and epoch > cfg.max_epochs:
-            break
         for batch in iter_minibatches(x, cfg.batch_size, order_rng, cfg.shuffle):
             a = clamp_unit(batch)
-            for m in range(depth):
-                w, wb, a = _pair_step(
-                    a, model.encode_weights[m], model.decode_weights[depth - 1 - m], cfg.eps_floor
-                )
-                model.encode_weights[m] = w
-                model.decode_weights[depth - 1 - m] = wb
-            recon = a
-            for wb in model.decode_weights:
-                recon = clamp_unit(recon @ wb)
-            err = reconstruction_error(batch, recon)
-            iteration += 1
-            curve.append((iteration, err))
+            for m in range(first, depth):
+                w, wb = model.encode_weights[m], model.decode_weights[depth - 1 - m]
+                if a.max() > 0.0:
+                    w, wb, a = _pair_step(a, w, wb)
+                    model.encode_weights[m], model.decode_weights[depth - 1 - m] = w, wb
+                else:
+                    a = np.zeros((a.shape[0], w.shape[1]))
+            for wb in model.decode_weights[: depth - first]:
+                a = clamp_unit(a @ wb)
+            err = reconstruction_error(batch, a)
             errors.append(err)
+            curve.append((offset + len(errors), err))
             if observer is not None:
-                observer(iteration, err, model)
-            if cfg.max_iterations is not None and iteration >= cfg.max_iterations:
-                done = True
-                break
+                observer(offset + len(errors), err, model)
+            if cfg.max_iterations is not None and len(errors) >= cfg.max_iterations:
+                return
             if cfg.rel_tol > 0.0 and len(errors) >= 2 * _EARLY_STOP_WINDOW:
                 prev = float(np.mean(errors[-2 * _EARLY_STOP_WINDOW : -_EARLY_STOP_WINDOW]))
                 cur = float(np.mean(errors[-_EARLY_STOP_WINDOW:]))
                 if prev > 0.0 and (prev - cur) / prev < cfg.rel_tol:
-                    done = True
-                    break
-    return TrainReport(
-        error_curve=curve,
-        final_full_error=dataset_error(model, x),
-        wall_time=time.perf_counter() - start,
-    )
+                    return
 
 
-def train_shallow(
-    x, dims: tuple[int, int], cfg: TrainConfig, observer: Observer | None = None
+def train(
+    x, dims: Sequence[int], cfg: TrainConfig, algo: str = "joint", observer: Observer | None = None
 ) -> tuple[LrnnModel, TrainReport]:
-    """Train a single encode/decode pair (dims V -> H, decoding back to V)."""
-    v, h = int(dims[0]), int(dims[1])
-    model = init_weights([v, h], cfg.seed)
-    report = _train_minibatch(x, model, cfg, observer)
-    return model, report
+    """Train an autoencoder with encode dims ``dims`` (V, H1, ..., Hk) on ``x``.
 
-
-def train_joint(
-    x, encode_dims: Sequence[int], cfg: TrainConfig, observer: Observer | None = None
-) -> tuple[LrnnModel, TrainReport]:
-    """Train all layers together, minibatch by minibatch.
-
-    Per batch the layers are visited front to back; each pair update feeds
-    its clamped activations to the next.  With a single hidden layer this
-    reduces to exactly the shallow procedure.
+    ``algo`` is ``"joint"`` or ``"greedy"`` (see the module docstring); a
+    greedy run equals depth-1 ``train`` calls chained by hand.  ``observer``
+    gets ``(iteration, batch error, model trained so far)`` after every
+    update; the curve numbers iterations on across greedy stages.
     """
-    model = init_weights(encode_dims, cfg.seed)
-    report = _train_minibatch(x, model, cfg, observer)
-    return model, report
-
-
-def train_greedy(
-    x, encode_dims: Sequence[int], cfg: TrainConfig, observer: Observer | None = None
-) -> tuple[LrnnModel, TrainReport]:
-    """Layer-wise training: stage m fits (W_m, mirrored decode) as a shallow
-    autoencoder on the previous stage's encoded output.
-
-    Stage m uses ``cfg.seed + m - 1`` for its weight draws, so a run can be
-    reproduced by chaining :func:`train_shallow` calls by hand.  The error
-    curve concatenates the stages with a continuing iteration index.
-    """
-    dims = [int(d) for d in encode_dims]
-    if len(dims) < 2:
-        raise ValueError(f"encode dims need >= 2 entries, got {encode_dims}")
+    dims = _encode_dims(dims)
+    if algo not in ("joint", "greedy"):
+        raise ValueError(f"algo must be 'joint' or 'greedy', got {algo!r}")
+    x = as_matrix(x, "x")
+    if x.shape[0] == 0:
+        raise ValueError("empty dataset")
+    if x.shape[1] != dims[0]:
+        raise ValueError(f"dataset has {x.shape[1]} attributes but model expects {dims[0]}")
+    if cfg.max_iterations is None and cfg.max_epochs is None:
+        raise ValueError("set max_iterations and/or max_epochs in TrainConfig")
     start = time.perf_counter()
-    x_stage = as_matrix(x, "x")
-    depth = len(dims) - 1
-    encode: list[np.ndarray] = []
-    decode: list[np.ndarray | None] = [None] * depth
-    curve: list[tuple[int, float]] = []
-    for m in range(depth):
-        stage_cfg = replace(cfg, seed=cfg.seed + m)
-        offset = len(curve)
-        stage_observer = None
-        if observer is not None:
-            stage_observer = lambda i, e, mod, _off=offset: observer(_off + i, e, mod)
-        stage, stage_report = train_shallow(
-            x_stage, (dims[m], dims[m + 1]), stage_cfg, stage_observer
-        )
-        encode.append(stage.encode_weights[0])
-        decode[depth - 1 - m] = stage.decode_weights[0]
-        curve.extend((offset + i, e) for i, e in stage_report.error_curve)
-        if m != depth - 1:
-            x_stage = clamp_unit(x_stage @ stage.encode_weights[0])
-    model = LrnnModel(encode, decode)
-    report = TrainReport(
-        error_curve=curve,
-        final_full_error=dataset_error(model, as_matrix(x, "x")),
-        wall_time=time.perf_counter() - start,
-    )
-    return model, report
+    stages = [dims] if algo == "joint" else [dims[m : m + 2] for m in range(len(dims) - 1)]
+    model, x_stage, curve = None, x, []
+    for m, stage_dims in enumerate(stages):
+        stage = init_weights(stage_dims, cfg.seed + m)
+        if m:  # stack the new pair inside the finished stages
+            x_stage = clamp_unit(x_stage @ model.encode_weights[-1])
+            stage = LrnnModel(
+                model.encode_weights + stage.encode_weights,
+                stage.decode_weights + model.decode_weights,
+            )
+        model = stage
+        _fit(x_stage, model, m, replace(cfg, seed=cfg.seed + m), curve, observer)
+    return model, TrainReport(curve, dataset_error(model, x), time.perf_counter() - start)

@@ -33,9 +33,7 @@ from lrnn import (
     load_manifest_entry,
     run,
     solve_steady_state,
-    train_greedy,
-    train_joint,
-    train_shallow,
+    train,
     update_decode,
     update_encode,
     validate_constraints,
@@ -74,7 +72,7 @@ def mnist_subset():
 def mnist_model(mnist_subset):
     """Desk-scale 784->100 model shared by the shallow and simulation criteria."""
     cfg = TrainConfig(batch_size=100, max_iterations=3000, seed=0)
-    return train_shallow(mnist_subset, (784, 100), cfg)
+    return train(mnist_subset, [784, 100], cfg)
 
 
 def test_criterion_1_mnist_shallow(request):
@@ -83,12 +81,12 @@ def test_criterion_1_mnist_shallow(request):
             x = load_idx(conftest.require_mnist_train()).x
             assert x.shape[0] == 60_000
             cfg = TrainConfig(batch_size=100, max_iterations=6000, seed=0)
-            _, report = train_shallow(x, (784, 100), cfg)
+            _, report = train(x, [784, 100], cfg)
             assert report.final_full_error <= 0.025, report.final_full_error
         else:
             x = request.getfixturevalue("mnist_subset")
             cfg = TrainConfig(batch_size=100, max_iterations=3000, seed=0)
-            _, report = train_shallow(x, (784, 100), cfg)
+            _, report = train(x, [784, 100], cfg)
             assert report.final_full_error <= 0.03, report.final_full_error
 
 
@@ -97,12 +95,12 @@ def test_criterion_2_mnist_multilayer(request):
         if full_scale():
             x = load_idx(conftest.require_mnist_train()).x
             cfg = TrainConfig(batch_size=100, max_iterations=3000, seed=0)
-            _, report = train_greedy(x, [784, 1000, 500, 250, 50], cfg)
+            _, report = train(x, [784, 1000, 500, 250, 50], cfg, "greedy")
             assert report.final_full_error <= 0.024, report.final_full_error
         else:
             x = request.getfixturevalue("mnist_subset")
             cfg = TrainConfig(batch_size=100, max_iterations=600, seed=0)
-            _, report = train_greedy(x, [784, 200, 100, 50], cfg)
+            _, report = train(x, [784, 200, 100, 50], cfg, "greedy")
             it10 = report.error_curve[9][1]
             assert report.final_full_error < 0.5 * it10, (report.final_full_error, it10)
 
@@ -114,12 +112,12 @@ def test_criterion_3_cifar_shallow():
             x = load_cifar10(batches).x
             assert x.shape[0] == 60_000
             cfg = TrainConfig(batch_size=100, max_iterations=6000, seed=0)
-            _, report = train_shallow(x, (3072, 150), cfg)
+            _, report = train(x, [3072, 150], cfg)
             assert report.final_full_error <= 0.012, report.final_full_error
         else:
             x = load_cifar10(batches[0]).x[:5000]
             cfg = TrainConfig(batch_size=100, max_iterations=600, seed=0)
-            _, report = train_shallow(x, (3072, 150), cfg)
+            _, report = train(x, [3072, 150], cfg)
             assert report.final_full_error <= 0.02, report.final_full_error
 
 
@@ -139,9 +137,9 @@ def test_criterion_4_constraint_suite():
                 violations.extend(validate_constraints(model))
 
             cfg = TrainConfig(batch_size=int(rng.integers(1, 12)), max_iterations=12, seed=trial)
-            train_shallow(x, (v, h1), cfg, observer=watch)
-            train_greedy(x, [v, h1, h2], cfg, observer=watch)
-            train_joint(x, [v, h1, h2], cfg, observer=watch)
+            train(x, [v, h1], cfg, observer=watch)
+            train(x, [v, h1, h2], cfg, "greedy", observer=watch)
+            train(x, [v, h1, h2], cfg, observer=watch)
             assert violations == [], f"trial {trial}: {violations[:3]}"
             checked += 1
         assert checked == 100
@@ -208,7 +206,7 @@ def test_criterion_7b_trained_small_model():
         basis = rng.random((3, 10)) * (rng.random((3, 10)) < 0.5)
         x = np.clip(rng.random((500, 3)) @ basis, 0.0, None)
         x /= x.max()
-        model, _ = train_shallow(x, (10, 5), TrainConfig(batch_size=50, max_iterations=400, seed=0))
+        model, _ = train(x, [10, 5], TrainConfig(batch_size=50, max_iterations=400, seed=0))
         net = compile_sim(model, x[0])
         est = run(net, 10_000_000, observe_every=1000, seed=0)
         diffs = compare(est, forward(model, x[0].reshape(1, -1)))
@@ -271,7 +269,7 @@ def test_criterion_9_uci_smoke_suite(dataset_manifest):
             h = max(1, int(np.floor(v / 2 + 0.5)))
             cfg = TrainConfig(batch_size=50, max_iterations=600, seed=0)
             initial = dataset_error(init_weights([v, h], cfg.seed), d.x)
-            model, report = train_shallow(d.x, (v, h), cfg)
+            model, report = train(d.x, [v, h], cfg)
             assert validate_constraints(model) == []
             assert report.final_full_error < initial, (
                 name, report.final_full_error, initial,

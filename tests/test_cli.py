@@ -71,6 +71,27 @@ class TestTrain:
         assert kinds.count("full") == 2  # iterations 5 and 10
         assert kinds.count("batch") == 12
 
+    def test_greedy_full_error_rows_cover_both_stages(self, csv_dataset, tmp_path):
+        curve_path = tmp_path / "c.csv"
+        extra = ["--curve", str(curve_path), "--full-error-every", "5"]
+        args = train_args(csv_dataset, tmp_path / "m.lrnn", extra)
+        args[args.index("--arch") + 1] = "4,3,2"
+        args[args.index("--algo") + 1] = "greedy"
+        assert main(args) == EXIT_OK
+        rows = [line.split(",") for line in curve_path.read_text().splitlines()[1:]]
+        assert [int(i) for i, _, kind in rows if kind == "full"] == [5, 10, 15, 20]
+        assert sum(kind == "batch" for _, _, kind in rows) == 24  # 12 per stage
+
+    def test_shallow_is_joint_at_depth_one(self, csv_dataset, tmp_path):
+        files = {}
+        for algo in ("shallow", "joint"):
+            model, curve = tmp_path / f"{algo}.lrnn", tmp_path / f"{algo}.csv"
+            args = train_args(csv_dataset, model, ["--curve", str(curve)])
+            args[args.index("--algo") + 1] = algo
+            assert main(args) == EXIT_OK
+            files[algo] = (model.read_bytes(), curve.read_bytes())
+        assert files["shallow"] == files["joint"]
+
     def test_greedy_and_joint(self, csv_dataset, tmp_path):
         for algo in ("greedy", "joint"):
             out = tmp_path / f"{algo}.lrnn"
@@ -88,6 +109,12 @@ class TestTrain:
         assert main(bad) == EXIT_USAGE
         no_budget = [a for a in train_args(csv_dataset, out) if a not in ("--iters", "12")]
         assert main(no_budget) == EXIT_USAGE
+        for flag, value in (
+            ("--batch", "0"), ("--iters", "0"), ("--iters", "-3"), ("--iters", "two"),
+            ("--epochs", "0"), ("--full-error-every", "0"),
+        ):
+            assert main(train_args(csv_dataset, out, [flag, value])) == EXIT_USAGE, flag
+        assert not out.exists()
 
     def test_shallow_rejects_deep_arch(self, csv_dataset, tmp_path):
         args = train_args(csv_dataset, tmp_path / "m")
@@ -209,6 +236,15 @@ class TestSimulate:
         for line in sim_csv.read_text().splitlines()[1:]:
             _, _, q_sim, q_num, diff = line.split(",")
             assert float(q_sim) == 0.0 and float(q_num) == 0.0 and float(diff) == 0.0
+
+    def test_usage_errors(self, csv_dataset, tmp_path):
+        model_path = tmp_path / "m.lrnn"
+        assert main(train_args(csv_dataset, model_path)) == EXIT_OK
+        out = tmp_path / "s.csv"
+        for flag, value in (("--events", "0"), ("--events", "-5"), ("--observe-every", "0")):
+            args = self.sim_args(model_path, csv_dataset, out) + [flag, value]
+            assert main(args) == EXIT_USAGE, (flag, value)
+        assert not out.exists()
 
     def test_index_out_of_range(self, csv_dataset, tmp_path):
         model_path = tmp_path / "m.lrnn"

@@ -98,6 +98,14 @@ class TestForward:
         with pytest.raises(ValueError, match="nonnegative"):
             forward(model, [[-0.1, 0.2]])
 
+    def test_non_finite_input_rejected(self):
+        model = init_weights([2, 1], seed=0)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="NaN or infinite"):
+                forward(model, [[bad, 0.2]])
+            with pytest.raises(ValueError, match="NaN or infinite"):
+                dataset_error(model, [[0.1, 0.2], [0.3, bad]])
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_outputs_are_probabilities(self, seed):
@@ -156,6 +164,14 @@ class TestValidateConstraints:
         model = LrnnModel([np.array([[-0.1, 0.5]])], [np.array([[0.3], [0.3]])])
         report = validate_constraints(model)
         assert [(v.layer, v.kind) for v in report] == [("W1", "negative")]
+
+    def test_non_finite_violation(self):
+        w = np.array([[0.2, 0.3], [np.nan, 0.1], [0.1, np.inf]])
+        model = LrnnModel([w], [np.array([[0.3, 0.2, 0.1], [0.3, 0.2, 0.1]])])
+        report = [(v.layer, v.row, v.kind) for v in validate_constraints(model)]
+        assert ("W1", 1, "non_finite") in report
+        assert ("W1", 2, "non_finite") in report
+        assert all(row != 0 for _, row, _ in report)
 
     def test_slack_absorbs_rounding(self):
         model = LrnnModel(

@@ -58,9 +58,10 @@ class TestLoadValidation:
 
     def test_constraint_violation_on_load(self, tmp_path):
         f = tmp_path / "m.lrnn"
-        f.write_text("LRNN1\ndepth 1\ndims 1 1\nW 1 1 1\n1.5\nWB 1 1 1\n0.5\n")
-        with pytest.raises(ValueError, match="constraints"):
-            load_model(f)
+        for w in ("1.5", "nan", "inf"):
+            f.write_text(f"LRNN1\ndepth 1\ndims 1 1\nW 1 1 1\n{w}\nWB 1 1 1\n0.5\n")
+            with pytest.raises(ValueError, match="constraints"):
+                load_model(f)
 
     def test_trailing_content_rejected(self, tmp_path):
         f = tmp_path / "m.lrnn"

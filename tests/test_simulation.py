@@ -16,7 +16,7 @@ from lrnn import (
     run,
     run_ensemble,
     step_event,
-    train_shallow,
+    train,
     TrainConfig,
 )
 
@@ -39,9 +39,10 @@ class TestCompileSim:
         assert net.layer_sizes == [784, 100, 784]
 
     def test_constraint_violation_rejected(self):
-        bad = LrnnModel([np.array([[0.7, 0.7]])], [np.array([[0.5], [0.5]])])
-        with pytest.raises(ValueError, match="constraints"):
-            compile_sim(bad, [0.5])
+        for w in ([0.7, 0.7], [np.nan, 0.1]):
+            bad = LrnnModel([np.array([w])], [np.array([[0.5], [0.5]])])
+            with pytest.raises(ValueError, match="constraints"):
+                compile_sim(bad, [0.5])
 
     def test_negative_attributes_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -219,7 +220,7 @@ class TestTrainedModelAgreement:
         basis = rng.random((3, 10)) * (rng.random((3, 10)) < 0.5)
         x = np.clip(rng.random((300, 3)) @ basis, 0.0, None)
         x /= x.max()
-        model, _ = train_shallow(x, (10, 5), TrainConfig(batch_size=50, max_iterations=300, seed=0))
+        model, _ = train(x, [10, 5], TrainConfig(batch_size=50, max_iterations=300, seed=0))
         net = compile_sim(model, x[0])
         est = run(net, 1_000_000, seed=0)
         diffs = compare(est, forward(model, x[0].reshape(1, -1)))

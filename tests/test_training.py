@@ -1,4 +1,4 @@
-"""Multiplicative update rules, constraint handling and the three training loops."""
+"""Multiplicative update rules, constraint handling and the training loop."""
 
 from dataclasses import replace
 
@@ -13,9 +13,7 @@ from lrnn import (
     init_weights,
     project_rows,
     rescale_saturation,
-    train_greedy,
-    train_joint,
-    train_shallow,
+    train,
     update_decode,
     update_encode,
     validate_constraints,
@@ -193,8 +191,8 @@ class TestTrainShallow:
         # exactly 1; the pre-activation 0.5 stays unsaturated so the rescale
         # is a no-op; the decode update then cancels its own initial value.
         # Both weights end at exactly 1 whatever the seed.
-        model, report = train_shallow(
-            [[0.5]], (1, 1), TrainConfig(batch_size=1, max_iterations=1, seed=123)
+        model, report = train(
+            [[0.5]], [1, 1], TrainConfig(batch_size=1, max_iterations=1, seed=123)
         )
         assert model.encode_weights[0][0, 0] == 1.0
         assert model.decode_weights[0][0, 0] == 1.0
@@ -203,42 +201,55 @@ class TestTrainShallow:
 
     def test_requires_budget(self):
         with pytest.raises(ValueError, match="max_iterations"):
-            train_shallow(np.ones((4, 2)) * 0.5, (2, 1), TrainConfig(batch_size=2))
+            train(np.ones((4, 2)) * 0.5, [2, 1], TrainConfig(batch_size=2))
+        for name, value in (("max_iterations", 0), ("max_iterations", -3), ("max_epochs", 0)):
+            with pytest.raises(ValueError, match=name):
+                TrainConfig(**{name: value})
 
     def test_empty_dataset(self):
         with pytest.raises(ValueError, match="empty"):
-            train_shallow(np.zeros((0, 2)), (2, 1), small_config())
+            train(np.zeros((0, 2)), [2, 1], small_config())
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="attributes"):
-            train_shallow(np.ones((4, 3)) * 0.5, (2, 1), small_config())
+            train(np.ones((4, 3)) * 0.5, [2, 1], small_config())
+
+    def test_unknown_algo(self):
+        with pytest.raises(ValueError, match="algo"):
+            train(np.ones((4, 2)) * 0.5, [2, 1], small_config(), "layerwise")
+
+    def test_non_finite_data_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            x = np.full((4, 2), 0.5)
+            x[2, 1] = bad
+            with pytest.raises(ValueError, match="NaN or infinite"):
+                train(x, [2, 1], small_config())
 
     def test_curve_indices_strictly_increasing(self):
         x = np.random.default_rng(0).random((17, 3))
-        _, report = train_shallow(x, (3, 2), small_config(max_iterations=12))
+        _, report = train(x, [3, 2], small_config(max_iterations=12))
         indices = [i for i, _ in report.error_curve]
         assert indices == list(range(1, 13))
 
     def test_constraints_after_every_iteration(self):
         x = np.random.default_rng(1).random((20, 4))
         seen = []
-        train_shallow(
-            x, (4, 2), small_config(max_iterations=25),
+        train(x, [4, 2], small_config(max_iterations=25),
             observer=lambda i, e, m: seen.append(len(validate_constraints(m))),
         )
         assert seen and not any(seen)
 
     def test_epoch_budget(self):
         x = np.random.default_rng(2).random((10, 3))
-        _, report = train_shallow(x, (3, 2), TrainConfig(batch_size=3, max_epochs=2, seed=0))
+        _, report = train(x, [3, 2], TrainConfig(batch_size=3, max_epochs=2, seed=0))
         # ceil(10/3) = 4 batches per epoch, two epochs
         assert len(report.error_curve) == 8
 
     def test_deterministic_given_seed(self):
         x = np.random.default_rng(3).random((21, 5))
         cfg = small_config(max_iterations=20, seed=11, shuffle=True)
-        m1, r1 = train_shallow(x, (5, 2), cfg)
-        m2, r2 = train_shallow(x, (5, 2), cfg)
+        m1, r1 = train(x, [5, 2], cfg)
+        m2, r2 = train(x, [5, 2], cfg)
         np.testing.assert_array_equal(m1.encode_weights[0], m2.encode_weights[0])
         np.testing.assert_array_equal(m1.decode_weights[0], m2.decode_weights[0])
         assert r1.error_curve == r2.error_curve
@@ -246,7 +257,7 @@ class TestTrainShallow:
     def test_early_stop_window(self):
         x = np.random.default_rng(4).random((40, 3))
         cfg = TrainConfig(batch_size=4, max_iterations=5000, seed=0, rel_tol=0.5)
-        _, report = train_shallow(x, (3, 2), cfg)
+        _, report = train(x, [3, 2], cfg)
         assert len(report.error_curve) < 5000
 
     def test_error_decreases_on_structured_data(self):
@@ -255,7 +266,7 @@ class TestTrainShallow:
         x = protos[rng.integers(0, 6, 300)]
         cfg = TrainConfig(batch_size=30, max_iterations=400, seed=1)
         initial = dataset_error(init_weights([24, 8], cfg.seed), x)
-        model, report = train_shallow(x, (24, 8), cfg)
+        model, report = train(x, [24, 8], cfg)
         assert report.final_full_error < initial
         assert validate_constraints(model) == []
 
@@ -264,10 +275,10 @@ class TestTrainGreedy:
     def test_matches_manual_chaining(self):
         x = np.random.default_rng(5).random((10, 4))
         cfg = TrainConfig(batch_size=3, max_iterations=7, seed=9)
-        greedy_model, _ = train_greedy(x, [4, 2, 1], cfg)
-        stage1, _ = train_shallow(x, (4, 2), cfg)
+        greedy_model, _ = train(x, [4, 2, 1], cfg, "greedy")
+        stage1, _ = train(x, [4, 2], cfg)
         x2 = clamp_unit(x @ stage1.encode_weights[0])
-        stage2, _ = train_shallow(x2, (2, 1), replace(cfg, seed=10))
+        stage2, _ = train(x2, [2, 1], replace(cfg, seed=10))
         np.testing.assert_array_equal(greedy_model.encode_weights[0], stage1.encode_weights[0])
         np.testing.assert_array_equal(greedy_model.encode_weights[1], stage2.encode_weights[0])
         np.testing.assert_array_equal(greedy_model.decode_weights[0], stage2.decode_weights[0])
@@ -276,40 +287,27 @@ class TestTrainGreedy:
     def test_stacked_input_is_clamped_previous_code(self):
         x = np.random.default_rng(6).random((8, 3)) * 2.0
         cfg = TrainConfig(batch_size=4, max_iterations=4, seed=2)
-        model, _ = train_greedy(x, [3, 2, 2], cfg)
+        model, _ = train(x, [3, 2, 2], cfg, "greedy")
         assert model.depth == 2
         assert model.encode_dims == [3, 2, 2]
 
     def test_curve_concatenates_stages(self):
         x = np.random.default_rng(7).random((12, 4))
         cfg = TrainConfig(batch_size=4, max_iterations=5, seed=0)
-        _, report = train_greedy(x, [4, 3, 2], cfg)
+        _, report = train(x, [4, 3, 2], cfg, "greedy")
         assert [i for i, _ in report.error_curve] == list(range(1, 11))
 
     def test_constraints_hold(self):
         x = np.random.default_rng(8).random((15, 5))
-        model, _ = train_greedy(x, [5, 3, 2], small_config(max_iterations=10))
+        model, _ = train(x, [5, 3, 2], small_config(max_iterations=10), "greedy")
         assert validate_constraints(model) == []
 
 
 class TestTrainJoint:
-    def test_depth_one_identical_to_shallow(self):
-        x = np.random.default_rng(9).random((23, 6))
-        cfg = small_config(max_iterations=31, seed=3)
-        shallow_model, shallow_report = train_shallow(x, (6, 3), cfg)
-        joint_model, joint_report = train_joint(x, [6, 3], cfg)
-        np.testing.assert_array_equal(
-            shallow_model.encode_weights[0], joint_model.encode_weights[0]
-        )
-        np.testing.assert_array_equal(
-            shallow_model.decode_weights[0], joint_model.decode_weights[0]
-        )
-        assert shallow_report.error_curve == joint_report.error_curve
-
     def test_two_layer_hand_trace_all_dims_one(self):
         # Every pair repeats the shallow trace on input 0.5: all four
         # weights end at exactly 1 regardless of the random init.
-        model, report = train_joint(
+        model, report = train(
             [[0.5]], [1, 1, 1], TrainConfig(batch_size=1, max_iterations=1, seed=7)
         )
         for w in model.encode_weights + model.decode_weights:
@@ -322,14 +320,24 @@ class TestTrainJoint:
         x = protos[rng.integers(0, 5, 400)]
         cfg = TrainConfig(batch_size=40, max_iterations=300, seed=4)
         initial = dataset_error(init_weights([16, 8, 4], cfg.seed), x)
-        _, report = train_joint(x, [16, 8, 4], cfg)
+        _, report = train(x, [16, 8, 4], cfg)
         assert report.final_full_error < initial
 
     def test_constraints_every_iteration(self):
         x = np.random.default_rng(11).random((18, 4))
         seen = []
-        train_joint(
+        train(
             x, [4, 3, 2], small_config(max_iterations=20),
             observer=lambda i, e, m: seen.append(len(validate_constraints(m))),
         )
         assert seen and not any(seen)
+
+    def test_blank_row_does_not_kill_the_model(self):
+        # Updating on an all-zero batch would set every weight to 0 for good;
+        # the batch is skipped but still counts, with its error of 0.
+        x = np.array([[0.0, 0.0, 0.0], [0.6, 0.2, 0.4], [0.1, 0.7, 0.3]])
+        for algo in ("joint", "greedy"):
+            model, report = train(x, [3, 2, 1], TrainConfig(batch_size=1, max_iterations=6), algo)
+            assert report.error_curve[0] == (1, 0.0)
+            for w in model.encode_weights + model.decode_weights:
+                assert w.any(), algo
