@@ -91,6 +91,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
+    return value
+
+
 def _parse_arch(spec: str) -> list[int]:
     try:
         dims = [int(v) for v in spec.split(",")]
@@ -257,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=_positive_int, default=100)
     p.add_argument("--iters", type=_positive_int, default=None, help="total minibatch updates")
     p.add_argument("--epochs", type=_positive_int, default=None, help="full passes over the data")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--rel-tol", type=float, default=0.0, help="early-stop relative tolerance")
     p.add_argument("--shuffle", action="store_true", help="shuffle batches each epoch")
     p.add_argument("--out", required=True, help="model file to write")
@@ -283,8 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", type=int, default=0, help="instance row to simulate")
     p.add_argument("--events", type=_positive_int, required=True)
     p.add_argument("--observe-every", type=_positive_int, default=1000)
-    p.add_argument("--burn-in", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--burn-in", type=_non_negative_int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out", default=None, help="comparison CSV (layer,neuron,q_sim,q_num,abs_diff)")
     p.set_defaults(func=cmd_simulate)
     return parser

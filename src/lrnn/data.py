@@ -9,7 +9,8 @@ Supported containers:
   scaled by 1/255.
 - Delimiter-separated numeric tables (UCI-style), optionally with a
   header row and a label column to drop.  ``?`` or empty cells are
-  treated as missing and imputed with the column mean.
+  treated as missing and imputed with the column mean; ``nan`` and
+  ``inf`` cells are refused.
 - A JSON manifest mapping dataset names to loader settings.
 """
 
@@ -19,6 +20,7 @@ import csv
 import json
 import math
 import struct
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -95,10 +97,13 @@ def load_csv(
 
     ``label_column`` indexes the raw row (negative indices allowed) and is
     dropped before numeric conversion, so non-numeric class labels are fine.
-    Missing cells (empty or ``?``) are imputed with their column mean.
+    Missing cells (empty or ``?``) are imputed with their column mean;
+    cells reading as NaN or +-inf raise ``ValueError`` naming line and column.
     """
     path = Path(path)
     rows: list[list[float]] = []
+    line_nos = array("q")  # file line of each data row, 8 bytes apiece
+    missing: list[tuple[int, int]] = []
     width: int | None = None
     with open(path, newline="") as f:
         reader = csv.reader(f, delimiter=delimiter)
@@ -127,7 +132,8 @@ def load_csv(
             for col, cell in enumerate(record):
                 cell = cell.strip()
                 if cell in _MISSING_CELLS:
-                    parsed.append(math.nan)
+                    missing.append((len(rows), col))
+                    parsed.append(0.0)
                     continue
                 try:
                     parsed.append(float(cell))
@@ -136,9 +142,17 @@ def load_csv(
                         f"{path}:{line_no}: non-numeric cell {cell!r} in column {col}"
                     ) from None
             rows.append(parsed)
+            line_nos.append(line_no)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     x = np.array(rows, dtype=np.float64)
+    if not np.isfinite(x).all():
+        row, col = np.argwhere(~np.isfinite(x))[0]
+        raise ValueError(
+            f"{path}:{line_nos[row]}: non-finite cell {float(x[row, col])} in column {col}"
+        )
+    if missing:
+        x[tuple(np.transpose(missing))] = math.nan
     nan_cols = np.flatnonzero(np.all(np.isnan(x), axis=0))
     if nan_cols.size:
         raise ValueError(f"{path}: column(s) {nan_cols.tolist()} have no values at all")

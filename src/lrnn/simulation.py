@@ -366,6 +366,8 @@ def run(
     """
     if observe_every < 1:
         raise ValueError("observe_every must be >= 1")
+    if burn_in < 0:
+        raise ValueError("burn_in must be >= 0")
     if n_events < burn_in + observe_every:
         raise ValueError(
             f"n_events={n_events} yields no observation "

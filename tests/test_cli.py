@@ -111,9 +111,19 @@ class TestTrain:
         assert main(no_budget) == EXIT_USAGE
         for flag, value in (
             ("--batch", "0"), ("--iters", "0"), ("--iters", "-3"), ("--iters", "two"),
-            ("--epochs", "0"), ("--full-error-every", "0"),
+            ("--epochs", "0"), ("--full-error-every", "0"), ("--seed", "-1"),
         ):
             assert main(train_args(csv_dataset, out, [flag, value])) == EXIT_USAGE, flag
+        assert not out.exists()
+
+    def test_non_finite_csv_cells_are_data_errors(self, csv_dataset, tmp_path):
+        out = tmp_path / "m.lrnn"
+        lines = csv_dataset.read_text().splitlines()
+        for cell in ("inf", "-inf", "nan"):
+            lines[1] = f"0.5,0.5,{cell},0.5"
+            bad = tmp_path / f"{cell}.csv"
+            bad.write_text("\n".join(lines) + "\n")
+            assert main(train_args(bad, out)) == EXIT_DATA, cell
         assert not out.exists()
 
     def test_shallow_rejects_deep_arch(self, csv_dataset, tmp_path):
@@ -241,7 +251,10 @@ class TestSimulate:
         model_path = tmp_path / "m.lrnn"
         assert main(train_args(csv_dataset, model_path)) == EXIT_OK
         out = tmp_path / "s.csv"
-        for flag, value in (("--events", "0"), ("--events", "-5"), ("--observe-every", "0")):
+        for flag, value in (
+            ("--events", "0"), ("--events", "-5"), ("--observe-every", "0"),
+            ("--seed", "-1"), ("--burn-in", "-5"),
+        ):
             args = self.sim_args(model_path, csv_dataset, out) + [flag, value]
             assert main(args) == EXIT_USAGE, (flag, value)
         assert not out.exists()

@@ -106,6 +106,19 @@ class TestLoadCsv:
         d = load_csv(f)
         np.testing.assert_allclose(d.x, [[1, 10], [2, 20], [3, 15]])
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "NaN", "Infinity", "1e999"])
+    def test_non_finite_cell_rejected(self, tmp_path, cell):
+        f = tmp_path / "t.csv"
+        f.write_text(f"1,2,3\n\n4,5,6\n7,{cell},9\n")
+        with pytest.raises(ValueError, match=r"t\.csv:4: non-finite cell .* in column 1"):
+            load_csv(f)
+
+    def test_missing_cells_imputed_after_label_drop(self, tmp_path):
+        f = tmp_path / "t.csv"
+        f.write_text("a,b,label\n1,?,x\n3,4,y\n,8,z\n")
+        d = load_csv(f, has_header=True, label_column=-1)
+        np.testing.assert_allclose(d.x, [[1, 6], [3, 4], [2, 8]])
+
     def test_all_missing_column_rejected(self, tmp_path):
         f = tmp_path / "t.csv"
         f.write_text("?,1\n?,2\n")

@@ -1,0 +1,166 @@
+"""The pair update on both sides of the Gram/factored switch (B >= V / B < V).
+
+Minibatches with fewer rows than columns take the factored form
+A^T (A M) of the update rules; the other tests of the rules use B >= V.
+"""
+
+import tracemalloc
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from lrnn import (
+    LrnnModel,
+    clamp_unit,
+    init_weights,
+    project_rows,
+    rescale_saturation,
+    update_decode,
+    update_encode,
+)
+from lrnn.model import ROW_SUM_SLACK
+from lrnn.training import EPS_FLOOR, _pair_step
+
+from oracles import scalar_update_decode, scalar_update_encode
+
+
+def assert_matches_oracles(model, m, a, rtol=1e-12):
+    w = model.encode_weights[m - 1]
+    wb = model.decode_weights[model.depth - m]
+    np.testing.assert_allclose(
+        update_encode(model, m, a), scalar_update_encode(a, w, wb, EPS_FLOOR), rtol=rtol
+    )
+    np.testing.assert_allclose(
+        update_decode(model, m, a), scalar_update_decode(a, w, wb, EPS_FLOOR), rtol=rtol
+    )
+
+
+class TestFactoredRules:
+    def test_matches_scalar_oracle_shallow(self):
+        rng = np.random.default_rng(31)
+        a = rng.random((3, 6))
+        model = LrnnModel([rng.random((6, 2)) * 0.3], [rng.random((2, 6)) * 0.3])
+        assert_matches_oracles(model, 1, a)
+
+    def test_matches_scalar_oracle_deep_layer(self):
+        rng = np.random.default_rng(37)
+        model = init_weights([7, 6, 2], seed=37)
+        a = rng.random((3, 6))  # activations of encode layer 1
+        assert_matches_oracles(model, 2, a)
+
+    def test_zero_entries_locked(self):
+        rng = np.random.default_rng(41)
+        w = rng.random((6, 2))
+        w[4, 1] = 0.0
+        wb = rng.random((2, 6))
+        wb[1, 3] = 0.0
+        model = LrnnModel([w], [wb])
+        a = rng.random((3, 6))
+        assert update_encode(model, 1, a)[4, 1] == 0.0
+        assert update_decode(model, 1, a)[1, 3] == 0.0
+
+    def test_fixed_point_identity_weights(self):
+        a = np.random.default_rng(43).random((3, 6)) + 0.05
+        model = LrnnModel([np.eye(6)], [np.eye(6)])
+        np.testing.assert_allclose(update_encode(model, 1, a), np.eye(6), rtol=1e-12)
+        np.testing.assert_allclose(update_decode(model, 1, a), np.eye(6), rtol=1e-12)
+
+    def test_eps_floor_rescues_zero_denominators(self):
+        # A zero column of a zeroes a row of the encode denominator, a zero
+        # column of WB a column of the decode denominator.
+        rng = np.random.default_rng(47)
+        a = rng.random((2, 5))
+        a[:, 1] = 0.0
+        w = rng.random((5, 2)) * 0.3
+        wb = rng.random((2, 5)) * 0.3
+        wb[:, 3] = 0.0
+        model = LrnnModel([w], [wb])
+        new_w, new_wb = update_encode(model, 1, a), update_decode(model, 1, a)
+        assert np.isfinite(new_w).all() and np.isfinite(new_wb).all()
+        assert not new_w[1].any() and not new_wb[:, 3].any()
+        assert_matches_oracles(model, 1, a)
+
+
+def public_pair_step(a, w, wb):
+    """The pair update as the public calls make it, in ``_pair_step``'s order."""
+    model = LrnnModel([w], [wb])
+    w = rescale_saturation(project_rows(update_encode(model, 1, a)), a)
+    model.encode_weights[0] = w
+    wb = project_rows(update_decode(model, 1, a))
+    h = clamp_unit(a @ w)
+    return w, rescale_saturation(wb, h), h
+
+
+class TestPairStep:
+    def check_against_public_sequence(self, batch, v_dim, h_dim):
+        rng = np.random.default_rng(batch * 1000 + v_dim)
+        model = init_weights([v_dim, h_dim], seed=v_dim)
+        w, wb = model.encode_weights[0], model.decode_weights[0]
+        ref_w, ref_wb = w, wb
+        for _ in range(3):
+            a = rng.random((batch, v_dim)) * (rng.random((batch, v_dim)) < 0.5)
+            w, wb, h = _pair_step(a, w, wb)
+            ref_w, ref_wb, ref_h = public_pair_step(a, ref_w, ref_wb)
+            for got, want in ((w, ref_w), (wb, ref_wb), (h, ref_h)):
+                np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
+    def test_factored_side_equals_public_sequence(self):
+        self.check_against_public_sequence(batch=20, v_dim=50, h_dim=10)
+
+    def test_gram_side_equals_public_sequence(self):
+        self.check_against_public_sequence(batch=60, v_dim=12, h_dim=5)
+
+    def test_factored_side_forms_no_gram_matrix(self):
+        # (B, V, H) = (100, 784, 100): a V x V float64 Gram matrix alone is
+        # V * V * 8 bytes, more than the whole factored step needs.
+        batch, v_dim, h_dim = 100, 784, 100
+        a = np.random.default_rng(53).random((batch, v_dim))
+        model = init_weights([v_dim, h_dim], seed=53)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _pair_step(a, model.encode_weights[0], model.decode_weights[0])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < v_dim * v_dim * 8
+
+
+unit_entries = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+
+
+@st.composite
+def pair_cases(draw):
+    """A feasible (a, w, wb) with B < V or B >= V, zero rows and columns,
+    and entries exactly 0 or 1."""
+    v_dim = draw(st.integers(2, 7))
+    h_dim = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        batch = draw(st.integers(1, v_dim - 1))
+    else:
+        batch = draw(st.integers(v_dim, v_dim + 5))
+    a = draw(arrays(np.float64, (batch, v_dim), elements=unit_entries))
+    w = draw(arrays(np.float64, (v_dim, h_dim), elements=unit_entries))
+    wb = draw(arrays(np.float64, (h_dim, v_dim), elements=unit_entries))
+    a[draw(st.integers(0, batch - 1))] = 0.0
+    a[:, draw(st.integers(0, v_dim - 1))] = 0.0
+    w[:, draw(st.integers(0, h_dim - 1))] *= draw(st.sampled_from([0.0, 1.0]))
+    wb[:, draw(st.integers(0, v_dim - 1))] = 0.0
+    return a, project_rows(w), project_rows(wb)
+
+
+@given(pair_cases())
+@settings(max_examples=60, deadline=None)
+def test_pair_step_keeps_constraints(case):
+    a, w, wb = case
+    w, wb, h = _pair_step(a, w, wb)
+    for weights in (w, wb):
+        assert np.isfinite(weights).all()
+        assert weights.min() >= 0.0
+        assert (weights.sum(axis=1) <= 1.0 + ROW_SUM_SLACK).all()
+    # every unit's peak batch pre-activation sits on or below saturation
+    assert ((a @ w).max(axis=0) <= 1.0 + ROW_SUM_SLACK).all()
+    assert ((h @ wb).max(axis=0) <= 1.0 + ROW_SUM_SLACK).all()
+    np.testing.assert_allclose(h, clamp_unit(a @ w), rtol=1e-12, atol=0)

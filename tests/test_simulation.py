@@ -152,6 +152,11 @@ class TestRun:
         with pytest.raises(ValueError, match="no observation"):
             run(net, 500, observe_every=1000)
 
+    def test_negative_burn_in_rejected(self):
+        net = compile_sim(scalar_model(), [0.7])
+        with pytest.raises(ValueError, match="burn_in"):
+            run(net, 10_000, observe_every=1000, burn_in=-5)
+
     def test_dead_network_raises(self):
         net = compile_sim(scalar_model(), [0.0])
         with pytest.raises(DeadNetworkError):
