@@ -35,13 +35,10 @@ from .simulation import (
     LayerComparison,
     QEstimate,
     SimNetwork,
-    SimState,
     compare,
     compile_sim,
-    new_state,
     run,
     run_ensemble,
-    step_event,
 )
 from .steady_state import (
     ConvergenceError,
@@ -71,7 +68,6 @@ __all__ = [
     "QEstimate",
     "RnnNetworkSpec",
     "SimNetwork",
-    "SimState",
     "TrainConfig",
     "TrainReport",
     "clamp_unit",
@@ -89,7 +85,6 @@ __all__ = [
     "load_manifest",
     "load_manifest_entry",
     "load_model",
-    "new_state",
     "normalize_unit_interval",
     "project_rows",
     "reconstruction_error",
@@ -98,7 +93,6 @@ __all__ = [
     "run_ensemble",
     "save_model",
     "solve_steady_state",
-    "step_event",
     "train",
     "update_decode",
     "update_encode",

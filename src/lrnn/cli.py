@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -96,6 +97,19 @@ def _non_negative_int(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
     return value
+
+
+def _non_negative_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite non-negative number, got {text}")
+    return value
+
+
+# argparse reports a failed conversion as "invalid <type __name__> value: ..."
+_positive_int.__name__ = "positive integer"
+_non_negative_int.__name__ = "non-negative integer"
+_non_negative_float.__name__ = "non-negative number"
 
 
 def _parse_arch(spec: str) -> list[int]:
@@ -265,7 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=_positive_int, default=None, help="total minibatch updates")
     p.add_argument("--epochs", type=_positive_int, default=None, help="full passes over the data")
     p.add_argument("--seed", type=_non_negative_int, default=0)
-    p.add_argument("--rel-tol", type=float, default=0.0, help="early-stop relative tolerance")
+    p.add_argument(
+        "--rel-tol", type=_non_negative_float, default=0.0, help="early-stop relative tolerance"
+    )
     p.add_argument("--shuffle", action="store_true", help="shuffle batches each epoch")
     p.add_argument("--out", required=True, help="model file to write")
     p.add_argument("--curve", default=None, help="write iter,error CSV here")

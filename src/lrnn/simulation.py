@@ -1,4 +1,4 @@
-"""Discrete-event simulation of the autoencoder's spiking dynamics.
+"""Spiking simulation of the autoencoder, swept layer by layer in time slabs.
 
 The trained model is run as the stochastic network it describes: visual
 neurons receive external excitatory spikes in Poisson streams at the
@@ -7,21 +7,38 @@ integer potential is positive, and a fired spike either moves to a
 next-layer neuron (probability = the connection weight, since all firing
 rates are 1) or leaves the network.  Final-layer spikes always leave.
 
-An *event* is one external arrival or one firing.  Event selection uses
-the Gillespie direct method over a flat rate vector: the total rate is
-the sum of arrival rates plus the number of currently active neurons,
-one exponential dwell is sampled per event, and one uniform picks both
-the event category and the neuron involved.
+Each neuron is therefore a ·/M/1 queue: spikes wait in its potential and
+leave one at a time after exponential(1) services.  A queue's departures
+follow from its arrivals by Lindley's recursion
+``d_k = max(a_k, d_{k-1}) + s_k``, and since the network is feed-forward,
+a layer's arrivals are known once the layer before it is done.  Time is
+cut into slabs of a bounded number of events, and each slab is swept one
+layer at a time:
 
-Once every ``observe_every`` events each neuron's potential is observed.
-An observation is the *time average* of the potential over the window
-ending at that event, computed exactly from the sampled dwells.  Plain
-event-count snapshots would sample the embedded jump chain, which
-over-weights states with many active neurons (and, for a single neuron,
-can only ever see potentials whose parity matches the event index); the
-windowed time average estimates the stationary mean potential k
-consistently, from which the excitation probability follows as
-q = k / (1 + k), the occupancy relation of the product-form network.
+* the visual layer draws each neuron's Poisson arrivals for the slab;
+* every layer groups its arrivals by neuron in time order, runs the
+  recursion for all its neurons at once as a segmented max-plus scan
+  (:func:`_departures`), and routes each departure with one categorical
+  draw against the cumulative row of its weight matrix, or to the leak;
+* departures later than the slab's end are held for the next slab, and
+  each neuron's last departure time is carried into it, so every queue
+  runs on across slab boundaries as if there were none.
+
+This is an exact sample path of the network: the same law as an
+event-by-event (Gillespie) simulation, with no appeal to Burke's theorem
+or to the product-form solution, so the simulator can still test both.
+
+An *event* is one external arrival or one firing.  Every
+``observe_every`` events past the burn-in an observation window closes
+and yields each neuron's *time-averaged* potential over it, computed
+exactly from the arrival and departure times.  Plain event-count
+snapshots would sample the embedded jump chain, which over-weights states
+with many active neurons; the windowed time average estimates the
+stationary mean potential k consistently, from which the excitation
+probability follows as q = k / (1 + k), the occupancy relation of the
+product-form network.  Times and the open window's potential integral are
+kept relative to the current slab's start, so no sum grows with the
+length of the run.
 
 Randomness comes from numpy's PCG64 generator; ensemble runs split seeds
 with ``SeedSequence.spawn`` so streams never overlap.  Runs are
@@ -30,16 +47,18 @@ deterministic given (network, event budget, seed).
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from dataclasses import dataclass, field
-from math import log
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .model import ROW_SUM_SLACK, ActivationState, LrnnModel, validate_constraints
+from .model import ROW_SUM_SLACK, ActivationState, LrnnModel, as_matrix, validate_constraints
 
-_RNG_BLOCK = 1 << 16
+#: Events per slab.  A slab lasts as long as ``_SLAB_EVENTS // (layers + 1)``
+#: external arrivals take on average, and each arrival causes at most one
+#: firing per layer, so the slab's arrays stay near this size whatever the
+#: event budget.
+_SLAB_EVENTS = 1 << 15
 
 
 class DeadNetworkError(RuntimeError):
@@ -47,12 +66,14 @@ class DeadNetworkError(RuntimeError):
 
 
 class SimNetwork:
-    """Compiled routing tables for one instance fed into one model.
+    """One instance fed into one model, as a layered spiking network.
 
     ``layer_sizes`` lists the widths along the chain (visual, encode
     layers, decode layers); ``weight_chain`` holds one routing matrix per
-    consecutive layer pair.  Neurons of the final layer route nowhere, so
-    their spikes always leave the network.
+    consecutive layer pair, checked finite and nonnegative with rows
+    summing to at most 1.  ``leak[i]`` is the probability that a spike
+    fired by neuron i leaves the network; neurons of the final layer route
+    nowhere, so their spikes always leave.
     """
 
     def __init__(
@@ -81,36 +102,25 @@ class SimNetwork:
             raise ValueError(
                 f"{x.shape[0]} arrival rates for a visual layer of {self.layer_sizes[0]}"
             )
-        if x.size and float(x.min()) < 0.0:
-            raise ValueError("arrival rates must be nonnegative")
-        self.arrival_rates = x
-        self._arrival_cum = np.cumsum(x).tolist()
-        self.total_arrival_rate = self._arrival_cum[-1] if self._arrival_cum else 0.0
+        name = f"arrival-rate vector of layer {self.layer_names[0]}"
+        self.arrival_rates = as_matrix(np.atleast_2d(x), name).ravel()
 
-        # Per-neuron compressed routing: cumulative probabilities over the
-        # nonzero targets; the tail mass 1 - cum[-1] is the leak.
-        self._route_cum: list[list[float]] = [[] for _ in range(self.n_neurons)]
-        self._route_targets: list[list[int]] = [[] for _ in range(self.n_neurons)]
+        self.weight_chain: list[np.ndarray] = []
         leak = np.ones(self.n_neurons)
         for layer, w in enumerate(weight_chain):
-            w = np.asarray(w, dtype=np.float64)
+            name = (
+                f"routing matrix {layer} "
+                f"({self.layer_names[layer]} -> {self.layer_names[layer + 1]})"
+            )
+            w = as_matrix(w, name)
             expect = (self.layer_sizes[layer], self.layer_sizes[layer + 1])
             if w.shape != expect:
-                raise ValueError(f"routing matrix {layer} has shape {w.shape}, expected {expect}")
-            if w.size and float(w.min()) < 0.0:
-                raise ValueError(f"routing matrix {layer} has negative entries")
+                raise ValueError(f"{name} has shape {w.shape}, expected {expect}")
             row_sums = w.sum(axis=1)
             if row_sums.size and float(row_sums.max()) > 1.0 + ROW_SUM_SLACK:
-                raise ValueError(f"routing matrix {layer} has a row sum above 1")
-            base = self.layer_offsets[layer]
-            nxt = self.layer_offsets[layer + 1]
-            for j in range(w.shape[0]):
-                targets = np.flatnonzero(w[j])
-                if targets.size:
-                    i = base + j
-                    self._route_targets[i] = (nxt + targets).tolist()
-                    self._route_cum[i] = np.cumsum(w[j, targets]).tolist()
-                leak[base + j] = max(0.0, 1.0 - float(row_sums[j]))
+                raise ValueError(f"{name} has a row sum above 1")
+            leak[self.layer_slice(layer)] = np.maximum(0.0, 1.0 - row_sums)
+            self.weight_chain.append(w)
         self.leak = leak
 
     def layer_slice(self, layer: int) -> slice:
@@ -134,190 +144,6 @@ def compile_sim(model: LrnnModel, instance) -> SimNetwork:
         + [f"dec{m + 1}" for m in range(model.depth)]
     )
     return SimNetwork(sizes, chain, instance, names)
-
-
-@dataclass
-class SimState:
-    """Mutable simulation state.
-
-    Integer potentials plus the bookkeeping needed for the windowed
-    time-average observations: simulated time, each neuron's running
-    potential-time integral (updated lazily when the potential changes),
-    and the origin of the currently open observation window.
-    """
-
-    potentials: list[int]
-    active: list[int]
-    active_pos: list[int]
-    observation_sums: np.ndarray
-    rng: np.random.Generator
-    sim_time: float = 0.0
-    potential_integrals: list[float] = field(default_factory=list)
-    integral_times: list[float] = field(default_factory=list)
-    window_start_time: float = 0.0
-    window_start_integrals: list[float] = field(default_factory=list)
-    event_count: int = 0
-    arrival_count: int = 0
-    firing_count: int = 0
-    observation_count: int = 0
-
-
-def new_state(net: SimNetwork, seed=0) -> SimState:
-    n = net.n_neurons
-    return SimState(
-        potentials=[0] * n,
-        active=[],
-        active_pos=[-1] * n,
-        observation_sums=np.zeros(n),
-        rng=np.random.default_rng(seed),
-        potential_integrals=[0.0] * n,
-        integral_times=[0.0] * n,
-        window_start_integrals=[0.0] * n,
-    )
-
-
-def _advance(
-    net: SimNetwork,
-    state: SimState,
-    n_events: int,
-    observe_every: int | None = None,
-    burn_in: int = 0,
-) -> None:
-    """Apply ``n_events`` events to ``state`` in place.
-
-    When ``observe_every`` is set, every ``observe_every``-th event past
-    the burn-in closes an observation window and accumulates each
-    neuron's time-averaged potential over that window into the
-    observation sums.  Uniform draws are prefetched in blocks; the
-    consumed stream values equal drawing them one at a time.
-    """
-    pot = state.potentials
-    active = state.active
-    pos = state.active_pos
-    integ = state.potential_integrals
-    mark = state.integral_times
-    win_integ = state.window_start_integrals
-    cum = net._route_cum
-    tgt = net._route_targets
-    acum = net._arrival_cum
-    total_x = net.total_arrival_rate
-    rng = state.rng
-    obs_sums = state.observation_sums
-    n = net.n_neurons
-
-    t = state.sim_time
-    win_t = state.window_start_time
-    events = state.event_count
-    start_events = events
-    arrivals = state.arrival_count
-    firings = state.firing_count
-    observations = state.observation_count
-
-    buf: list[float] = []
-    bi = 0
-    bn = 0
-    try:
-        for _ in range(n_events):
-            n_act = len(active)
-            r_total = total_x + n_act
-            if r_total <= 0.0:
-                raise DeadNetworkError(
-                    "no possible event: all arrival rates are zero and no neuron is active"
-                )
-            if bi + 1 >= bn:
-                need = 2 * (n_events - (events - start_events)) + 2
-                bn = min(need, _RNG_BLOCK)
-                buf = rng.random(bn).tolist()
-                bi = 0
-            t -= log(1.0 - buf[bi]) / r_total  # exponential dwell in the current state
-            u = buf[bi + 1] * r_total
-            bi += 2
-            if u < total_x:
-                v = bisect_right(acum, u)
-                p = pot[v]
-                integ[v] += p * (t - mark[v])
-                mark[v] = t
-                if p == 0:
-                    pos[v] = n_act
-                    active.append(v)
-                pot[v] = p + 1
-                arrivals += 1
-            else:
-                j = int(u - total_x)
-                if j >= n_act:  # guards float roundoff at the top of the range
-                    j = n_act - 1
-                i = active[j]
-                p = pot[i]
-                integ[i] += p * (t - mark[i])
-                mark[i] = t
-                p -= 1
-                pot[i] = p
-                if p == 0:
-                    k = pos[i]
-                    last = active[-1]
-                    active[k] = last
-                    pos[last] = k
-                    active.pop()
-                    pos[i] = -1
-                ci = cum[i]
-                if ci:
-                    if bi == bn:
-                        bn = min(2 * (n_events - (events - start_events)) + 2, _RNG_BLOCK)
-                        buf = rng.random(bn).tolist()
-                        bi = 0
-                    u2 = buf[bi]
-                    bi += 1
-                    k = bisect_right(ci, u2)
-                    if k < len(ci):
-                        target = tgt[i][k]
-                        q = pot[target]
-                        integ[target] += q * (t - mark[target])
-                        mark[target] = t
-                        if q == 0:
-                            pos[target] = len(active)
-                            active.append(target)
-                        pot[target] = q + 1
-                firings += 1
-            events += 1
-            if observe_every is not None:
-                if events == burn_in:
-                    for i2 in range(n):  # reset the window origin after the burn-in
-                        s = integ[i2] + pot[i2] * (t - mark[i2])
-                        integ[i2] = s
-                        mark[i2] = t
-                        win_integ[i2] = s
-                    win_t = t
-                elif events > burn_in and (events - burn_in) % observe_every == 0:
-                    dt = t - win_t
-                    if dt > 0.0:
-                        means = [0.0] * n
-                        for i2 in range(n):
-                            s = integ[i2] + pot[i2] * (t - mark[i2])
-                            integ[i2] = s
-                            mark[i2] = t
-                            means[i2] = (s - win_integ[i2]) / dt
-                            win_integ[i2] = s
-                        obs_sums += means
-                    else:  # zero-length window cannot happen in practice; snapshot
-                        obs_sums += pot
-                    win_t = t
-                    observations += 1
-    finally:
-        state.sim_time = t
-        state.window_start_time = win_t
-        state.event_count = events
-        state.arrival_count = arrivals
-        state.firing_count = firings
-        state.observation_count = observations
-
-
-def step_event(net: SimNetwork, state: SimState) -> SimState:
-    """Apply exactly one event (external arrival or firing) to ``state``.
-
-    Raises :class:`DeadNetworkError` when the total event rate is zero.
-    """
-    _advance(net, state, 1)
-    return state
 
 
 @dataclass
@@ -352,6 +178,104 @@ class QEstimate:
         return cls(np.zeros(net.n_neurons), 0, list(net.layer_sizes), list(net.layer_names))
 
 
+def _departures(a: np.ndarray, starts: np.ndarray, d0: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Departure times of FIFO ·/M/1 queues by Lindley's recursion.
+
+    ``a`` holds arrival times grouped by queue, in time order within each
+    group; ``starts`` is the index where each group begins, ``d0`` each
+    queue's last departure before these arrivals and ``s`` the service
+    times.  With S_k the running service sum of a group,
+    d_k = max(a_k, d_{k-1}) + s_k unrolls to
+    d_k = S_k + max(d0, max_{j<=k} (a_j - S_{j-1})).  The running maximum
+    restarts at each group: it runs over (group number, value) pairs held
+    as complex numbers, which numpy orders lexicographically.
+    """
+    counts = np.diff(starts, append=a.size)
+    total = np.cumsum(s)
+    before = np.concatenate(([0.0], total[:-1]))
+    base = np.repeat(before[starts], counts)
+    x = a - (before - base)
+    x[starts] = np.maximum(x[starts], d0)
+    keyed = np.empty(a.size, dtype=np.complex128)
+    keyed.real = np.repeat(np.arange(starts.size, dtype=np.float64), counts)
+    keyed.imag = x
+    return (total - base) + np.maximum.accumulate(keyed).imag
+
+
+def _serve(times, ids, width: int, last_departure: np.ndarray, rng):
+    """Departures caused by one layer's arrivals in a slab.
+
+    Returns the departure times and the neuron of each, grouped by neuron,
+    and moves ``last_departure`` on to each served neuron's last departure.
+    """
+    if times.size == 0:
+        return times, ids
+    order = np.argsort(times)
+    # a stable sort on the narrowest id type, which numpy radix-sorts
+    order = order[np.argsort(ids[order].astype(np.min_scalar_type(width)), kind="stable")]
+    a, ids = times[order], ids[order]
+    starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
+    served = ids[starts]
+    d = _departures(a, starts, last_departure[served], rng.standard_exponential(a.size))
+    last_departure[served] = d[np.append(starts[1:], a.size) - 1]
+    return d, ids
+
+
+def _route_keys(w: np.ndarray) -> np.ndarray:
+    """Cumulative rows of ``w``, row i shifted by 2i, flattened.
+
+    For a spike of row i and a uniform u, the number of keys at or below
+    2i + u, less i times the row width, is the drawn target; the row width
+    itself means the leak.  Rows sum to at most 1, so the shift keeps them
+    apart, and a zero weight is never drawn.
+    """
+    return (np.cumsum(w, axis=1) + 2.0 * np.arange(w.shape[0])[:, None]).ravel()
+
+
+def _sweep_slab(net: SimNetwork, end: float, keys, last_departure, held, rng):
+    """Every event of the next slab, which lasts ``end``, swept layer by layer.
+
+    Returns each event's time (relative to the slab's start), the neuron
+    whose potential it raises and the neuron whose potential it lowers;
+    the dummy index ``net.n_neurons`` stands for none (an external arrival
+    lowers none, a leaked or final-layer spike raises none).
+    ``last_departure`` and ``held`` (per layer: the times and neurons of
+    firings past the slab's end) carry the queues into the next slab.
+    """
+    n, sizes, offsets = net.n_neurons, net.layer_sizes, net.layer_offsets
+    v = np.repeat(np.arange(sizes[0]), rng.poisson(net.arrival_rates * end))
+    t = rng.random(v.size) * end
+    times, raised, lowered = [t], [v], [np.full(v.size, n)]
+    for layer, size in enumerate(sizes):
+        d, j = _serve(t, v, size, last_departure[layer], rng)
+        d, j = np.concatenate((held[layer][0], d)), np.concatenate((held[layer][1], j))
+        now = d < end
+        held[layer] = (d[~now] - end, j[~now])
+        d, j = d[now], j[now]
+        times.append(d)
+        lowered.append(j + offsets[layer])
+        target = np.full(d.size, n)
+        if layer < len(keys):
+            width = sizes[layer + 1]
+            k = np.searchsorted(keys[layer], 2.0 * j + rng.random(j.size), side="right")
+            k -= j * width
+            routed = k < width
+            t, v = d[routed], k[routed]
+            target[routed] = v + offsets[layer + 1]
+        raised.append(target)
+    for ld in last_departure:
+        np.maximum(ld - end, 0.0, out=ld)
+    return np.concatenate(times), np.concatenate(raised), np.concatenate(lowered)
+
+
+def _net_change(raised, lowered, weights, n: int) -> np.ndarray:
+    """Per-neuron sum of ``weights`` over raised minus lowered potentials."""
+    return (
+        np.bincount(raised, weights, minlength=n + 1)[:n]
+        - np.bincount(lowered, weights, minlength=n + 1)[:n]
+    )
+
+
 def run(
     net: SimNetwork,
     n_events: int,
@@ -373,10 +297,64 @@ def run(
             f"n_events={n_events} yields no observation "
             f"(burn_in={burn_in}, observe_every={observe_every})"
         )
-    state = new_state(net, seed)
-    _advance(net, state, n_events, observe_every, burn_in)
-    k_bar = state.observation_sums / state.observation_count
-    return QEstimate(k_bar, state.observation_count, list(net.layer_sizes), list(net.layer_names))
+    total_rate = float(net.arrival_rates.sum())
+    if total_rate == 0.0:
+        raise DeadNetworkError(
+            "no possible event: all arrival rates are zero and no neuron is active"
+        )
+    rng = np.random.default_rng(seed)
+    keys = [_route_keys(w) for w in net.weight_chain]
+    last_departure = [np.zeros(size) for size in net.layer_sizes]
+    held = [(np.zeros(0), np.zeros(0, dtype=np.intp))] * len(net.layer_sizes)
+    slab_arrivals = max(1, _SLAB_EVENTS // (len(net.layer_sizes) + 1))
+
+    n = net.n_neurons
+    potential = np.zeros(n)  # at the slab's start
+    carried = np.zeros(n)  # open window's potential integral up to the slab's start
+    window_start = 0.0  # relative to the slab's start
+    sums = np.zeros(n)
+    observations = 0
+    events = 0
+    close = burn_in or observe_every  # the event that closes the open window
+    counted = burn_in == 0  # the window ending at the burn-in is not observed
+    while True:
+        end = min(slab_arrivals, n_events - events) / total_rate
+        t, raised, lowered = _sweep_slab(net, end, keys, last_departure, held, rng)
+        last = min(events + t.size, n_events)
+        closing = np.arange(close, last + 1, observe_every)
+        mark = 0.0  # start of the open window within the slab
+        if closing.size:
+            order = np.argsort(t)
+            b = t[order[closing - events - 1]]  # window ends
+            weight = np.ones(b.size)
+            weight[0] = float(counted)
+            scale = weight / np.diff(b, prepend=window_start)
+            after = weight.sum() - np.cumsum(weight)  # observed windows closing after each
+            # Event number e falls in window w = #{closing < e}.  Its change
+            # adds (b[w] - t) * scale[w] to that window's mean and 1 to every
+            # observed mean after it, as the starting potential does.
+            rank = np.empty(t.size, dtype=np.intp)
+            rank[order] = np.arange(t.size)
+            w = np.clip((rank + (events + observe_every - close)) // observe_every, 0, b.size)
+            inside = w < b.size
+            w = w[inside]
+            c = scale[w] * (b[w] - t[inside]) + after[w]
+            sums += scale[0] * (carried + potential * b[0]) + after[0] * potential
+            sums += _net_change(raised[inside], lowered[inside], c, n)
+            observations += int(weight.sum())
+            close = int(closing[-1]) + observe_every
+            counted = True
+            carried[:] = 0.0
+            mark = window_start = float(b[-1])
+        if last == n_events:
+            break
+        carried += potential * (end - mark)
+        carried += _net_change(raised, lowered, end - np.maximum(t, mark), n)
+        potential += _net_change(raised, lowered, None, n)
+        window_start -= end
+        events += t.size
+    sizes, names = list(net.layer_sizes), list(net.layer_names)
+    return QEstimate(sums / observations, observations, sizes, names)
 
 
 def run_ensemble(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ROW_SUM_SLACK, LrnnModel, clamp_unit
+from .model import ROW_SUM_SLACK, LrnnModel, as_matrix, clamp_unit
 
 #: Consecutive direction reversals of the update before damping kicks in.
 _OSCILLATION_WINDOW = 100
@@ -76,8 +76,7 @@ class RnnNetworkSpec:
             ("lam_plus", self.lam_plus),
             ("lam_minus", self.lam_minus),
         ):
-            if a.size and float(a.min()) < 0.0:
-                raise ValueError(f"{name} must be nonnegative")
+            as_matrix(np.atleast_2d(a), name)  # finite and nonnegative
         row_sums = self.p_plus.sum(axis=1) + self.p_minus.sum(axis=1)
         bad = np.flatnonzero(row_sums > 1.0 + ROW_SUM_SLACK)
         if bad.size:

@@ -36,6 +36,7 @@ greedy mode the finished stages stacked around the current one.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
@@ -83,6 +84,8 @@ class TrainConfig:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if not (math.isfinite(self.rel_tol) and self.rel_tol >= 0.0):
+            raise ValueError(f"rel_tol must be finite and >= 0, got {self.rel_tol}")
 
 
 @dataclass

@@ -6,7 +6,13 @@ vectorized library code is checked against a genuinely separate path.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from dataclasses import dataclass, field
+from math import log
+
 import numpy as np
+
+from lrnn.simulation import DeadNetworkError, QEstimate, SimNetwork
 
 
 def gram_loops(a) -> list[list[float]]:
@@ -54,3 +60,231 @@ def scalar_update_decode(a, w, wb, eps) -> np.ndarray:
                 den = eps
             out[h][o] = wb[h][o] * num / den
     return np.array(out)
+
+
+# ---------------------------------------------------------------------------
+# Reference spiking simulator: the Gillespie direct method, one event at a
+# time.  The library's layer-sweep engine (lrnn.simulation.run) is checked
+# against it.
+#
+# An *event* is one external arrival or one firing.  The total rate is the
+# sum of arrival rates plus the number of currently active neurons; one
+# exponential dwell is sampled per event, and one uniform picks both the
+# event category and the neuron involved.  Every ``observe_every`` events
+# past the burn-in, each neuron's potential is time-averaged over the
+# window ending at that event, exactly as the library's estimator does.
+
+
+def routing_lists(net: SimNetwork) -> tuple[list[list[int]], list[list[float]]]:
+    """Per-neuron compressed routing: the nonzero targets (global indices)
+    and their cumulative probabilities; the tail mass 1 - cum[-1] is the leak."""
+    targets: list[list[int]] = [[] for _ in range(net.n_neurons)]
+    cums: list[list[float]] = [[] for _ in range(net.n_neurons)]
+    for layer, w in enumerate(net.weight_chain):
+        base = net.layer_offsets[layer]
+        nxt = net.layer_offsets[layer + 1]
+        for j in range(w.shape[0]):
+            nz = np.flatnonzero(w[j])
+            if nz.size:
+                targets[base + j] = (nxt + nz).tolist()
+                cums[base + j] = np.cumsum(w[j, nz]).tolist()
+    return targets, cums
+
+
+@dataclass
+class SimState:
+    """Mutable Gillespie state: integer potentials, the active-neuron set,
+    the routing lists, and the bookkeeping of the windowed time averages."""
+
+    potentials: list[int]
+    active: list[int]
+    active_pos: list[int]
+    observation_sums: np.ndarray
+    rng: np.random.Generator
+    route_targets: list[list[int]]
+    route_cum: list[list[float]]
+    arrival_cum: list[float]
+    sim_time: float = 0.0
+    potential_integrals: list[float] = field(default_factory=list)
+    integral_times: list[float] = field(default_factory=list)
+    window_start_time: float = 0.0
+    window_start_integrals: list[float] = field(default_factory=list)
+    event_count: int = 0
+    arrival_count: int = 0
+    firing_count: int = 0
+    observation_count: int = 0
+
+
+def new_state(net: SimNetwork, seed=0) -> SimState:
+    n = net.n_neurons
+    targets, cums = routing_lists(net)
+    return SimState(
+        potentials=[0] * n,
+        active=[],
+        active_pos=[-1] * n,
+        observation_sums=np.zeros(n),
+        rng=np.random.default_rng(seed),
+        route_targets=targets,
+        route_cum=cums,
+        arrival_cum=np.cumsum(net.arrival_rates).tolist(),
+        potential_integrals=[0.0] * n,
+        integral_times=[0.0] * n,
+        window_start_integrals=[0.0] * n,
+    )
+
+
+_RNG_BLOCK = 1 << 16
+
+
+def _advance(
+    net: SimNetwork,
+    state: SimState,
+    n_events: int,
+    observe_every: int | None = None,
+    burn_in: int = 0,
+) -> None:
+    """Apply ``n_events`` events to ``state`` in place.
+
+    When ``observe_every`` is set, every ``observe_every``-th event past
+    the burn-in closes an observation window and accumulates each
+    neuron's time-averaged potential over that window into the
+    observation sums.  Uniform draws are prefetched in blocks; the
+    consumed stream values equal drawing them one at a time.
+    """
+    pot = state.potentials
+    active = state.active
+    pos = state.active_pos
+    integ = state.potential_integrals
+    mark = state.integral_times
+    win_integ = state.window_start_integrals
+    cum = state.route_cum
+    tgt = state.route_targets
+    acum = state.arrival_cum
+    total_x = acum[-1] if acum else 0.0
+    rng = state.rng
+    obs_sums = state.observation_sums
+    n = net.n_neurons
+
+    t = state.sim_time
+    win_t = state.window_start_time
+    events = state.event_count
+    start_events = events
+    arrivals = state.arrival_count
+    firings = state.firing_count
+    observations = state.observation_count
+
+    buf: list[float] = []
+    bi = 0
+    bn = 0
+    try:
+        for _ in range(n_events):
+            n_act = len(active)
+            r_total = total_x + n_act
+            if r_total <= 0.0:
+                raise DeadNetworkError(
+                    "no possible event: all arrival rates are zero and no neuron is active"
+                )
+            if bi + 1 >= bn:
+                need = 2 * (n_events - (events - start_events)) + 2
+                bn = min(need, _RNG_BLOCK)
+                buf = rng.random(bn).tolist()
+                bi = 0
+            t -= log(1.0 - buf[bi]) / r_total  # exponential dwell in the current state
+            u = buf[bi + 1] * r_total
+            bi += 2
+            if u < total_x:
+                v = bisect_right(acum, u)
+                p = pot[v]
+                integ[v] += p * (t - mark[v])
+                mark[v] = t
+                if p == 0:
+                    pos[v] = n_act
+                    active.append(v)
+                pot[v] = p + 1
+                arrivals += 1
+            else:
+                j = int(u - total_x)
+                if j >= n_act:  # guards float roundoff at the top of the range
+                    j = n_act - 1
+                i = active[j]
+                p = pot[i]
+                integ[i] += p * (t - mark[i])
+                mark[i] = t
+                p -= 1
+                pot[i] = p
+                if p == 0:
+                    k = pos[i]
+                    last = active[-1]
+                    active[k] = last
+                    pos[last] = k
+                    active.pop()
+                    pos[i] = -1
+                ci = cum[i]
+                if ci:
+                    if bi == bn:
+                        bn = min(2 * (n_events - (events - start_events)) + 2, _RNG_BLOCK)
+                        buf = rng.random(bn).tolist()
+                        bi = 0
+                    u2 = buf[bi]
+                    bi += 1
+                    k = bisect_right(ci, u2)
+                    if k < len(ci):
+                        target = tgt[i][k]
+                        q = pot[target]
+                        integ[target] += q * (t - mark[target])
+                        mark[target] = t
+                        if q == 0:
+                            pos[target] = len(active)
+                            active.append(target)
+                        pot[target] = q + 1
+                firings += 1
+            events += 1
+            if observe_every is not None:
+                if events == burn_in:
+                    for i2 in range(n):  # reset the window origin after the burn-in
+                        s = integ[i2] + pot[i2] * (t - mark[i2])
+                        integ[i2] = s
+                        mark[i2] = t
+                        win_integ[i2] = s
+                    win_t = t
+                elif events > burn_in and (events - burn_in) % observe_every == 0:
+                    dt = t - win_t
+                    if dt > 0.0:
+                        means = [0.0] * n
+                        for i2 in range(n):
+                            s = integ[i2] + pot[i2] * (t - mark[i2])
+                            integ[i2] = s
+                            mark[i2] = t
+                            means[i2] = (s - win_integ[i2]) / dt
+                            win_integ[i2] = s
+                        obs_sums += means
+                    else:  # zero-length window cannot happen in practice; snapshot
+                        obs_sums += pot
+                    win_t = t
+                    observations += 1
+    finally:
+        state.sim_time = t
+        state.window_start_time = win_t
+        state.event_count = events
+        state.arrival_count = arrivals
+        state.firing_count = firings
+        state.observation_count = observations
+
+
+def step_event(net: SimNetwork, state: SimState) -> SimState:
+    """Apply exactly one event (external arrival or firing) to ``state``.
+
+    Raises :class:`DeadNetworkError` when the total event rate is zero.
+    """
+    _advance(net, state, 1)
+    return state
+
+
+def gillespie_run(
+    net: SimNetwork, n_events: int, observe_every: int = 1000, seed=0, burn_in: int = 0
+) -> QEstimate:
+    """The reference counterpart of :func:`lrnn.simulation.run`."""
+    state = new_state(net, seed)
+    _advance(net, state, n_events, observe_every, burn_in)
+    k_bar = state.observation_sums / state.observation_count
+    return QEstimate(k_bar, state.observation_count, list(net.layer_sizes), list(net.layer_names))

@@ -112,8 +112,22 @@ class TestTrain:
         for flag, value in (
             ("--batch", "0"), ("--iters", "0"), ("--iters", "-3"), ("--iters", "two"),
             ("--epochs", "0"), ("--full-error-every", "0"), ("--seed", "-1"),
+            ("--rel-tol", "-1"), ("--rel-tol", "nan"), ("--rel-tol", "inf"),
         ):
             assert main(train_args(csv_dataset, out, [flag, value])) == EXIT_USAGE, flag
+        assert not out.exists()
+
+    def test_type_errors_name_no_private_function(self, csv_dataset, tmp_path, capsys):
+        out = tmp_path / "m.lrnn"
+        for flag, value, kind in (
+            ("--iters", "two", "positive integer"),
+            ("--seed", "x", "non-negative integer"),
+            ("--rel-tol", "abc", "non-negative number"),
+        ):
+            assert main(train_args(csv_dataset, out, [flag, value])) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert f"invalid {kind} value: '{value}'" in err, err
+            assert "_positive_int" not in err and "_non_negative" not in err, err
         assert not out.exists()
 
     def test_non_finite_csv_cells_are_data_errors(self, csv_dataset, tmp_path):

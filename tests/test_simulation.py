@@ -1,8 +1,12 @@
-"""Spiking discrete-event simulation: compilation, dynamics, estimation."""
+"""Spiking simulation: compilation, the layer-sweep engine and its
+cross-check against the event-by-event reference, estimation."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from oracles import gillespie_run, new_state, routing_lists, step_event
 from lrnn import (
     DeadNetworkError,
     LrnnModel,
@@ -12,13 +16,13 @@ from lrnn import (
     compile_sim,
     forward,
     init_weights,
-    new_state,
     run,
     run_ensemble,
-    step_event,
     train,
     TrainConfig,
 )
+from lrnn import simulation
+from lrnn.simulation import _departures
 
 
 def scalar_model(w=0.8, wb=0.9):
@@ -48,12 +52,26 @@ class TestCompileSim:
         with pytest.raises(ValueError, match="nonnegative"):
             compile_sim(scalar_model(), [-0.5])
 
+    def test_non_finite_arrival_rates_rejected(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="layer visual has NaN or infinite"):
+                SimNetwork([2], [], [0.5, bad], ["visual"])
+            with pytest.raises(ValueError, match="layer visual has NaN or infinite"):
+                compile_sim(scalar_model(), [bad])
+
+    def test_non_finite_routing_weight_rejected(self):
+        for bad in (np.nan, np.inf):
+            w = np.array([[bad, 0.1]])
+            with pytest.raises(ValueError, match=r"visual -> enc1\) has NaN or infinite"):
+                SimNetwork([1, 2], [w], [0.5], ["visual", "enc1"])
+
     def test_routing_tables_compressed(self):
         w = np.array([[0.3, 0.0, 0.4]])
         wb = np.array([[0.2], [0.0], [0.5]])
         net = compile_sim(LrnnModel([w], [wb]), [1.0])
-        assert net._route_targets[0] == [1, 3]  # zero-weight edge dropped
-        np.testing.assert_allclose(net._route_cum[0], [0.3, 0.7])
+        route_targets, route_cum = routing_lists(net)
+        assert route_targets[0] == [1, 3]  # zero-weight edge dropped
+        np.testing.assert_allclose(route_cum[0], [0.3, 0.7])
 
 
 class TestStepEvent:
@@ -113,6 +131,33 @@ class TestStepEvent:
             assert min(state.potentials) >= 0
 
 
+class TestDepartures:
+    def test_lindley_by_hand(self):
+        # d_k = max(a_k, d_{k-1}) + s_k: 0+2, max(1, 2)+1, max(5, 3)+1
+        d = _departures(np.array([0.0, 1.0, 5.0]), np.array([0]), np.array([0.0]),
+                        np.array([2.0, 1.0, 1.0]))
+        np.testing.assert_allclose(d, [2.0, 3.0, 6.0], rtol=0, atol=1e-15)
+
+    def test_queues_restart_at_each_group(self):
+        # the second queue starts busy until 1.0 and must not inherit the
+        # first queue's running maximum
+        a = np.array([0.0, 1.0, 5.0, 0.5, 0.7])
+        s = np.array([2.0, 1.0, 1.0, 1.0, 1.0])
+        d = _departures(a, np.array([0, 3]), np.array([0.0, 1.0]), s)
+        np.testing.assert_allclose(d, [2.0, 3.0, 6.0, 2.0, 3.0], rtol=0, atol=1e-15)
+
+    def test_carried_across_slab_boundary(self):
+        # arrivals 0, 1, 2.8 with services 2, 1, 1 leave at 2, 3, 4; split at
+        # 2.5, the second slab sees the arrival at 0.3 and a queue busy until
+        # 3 - 2.5 = 0.5
+        first = _departures(np.array([0.0, 1.0]), np.array([0]), np.array([0.0]),
+                            np.array([2.0, 1.0]))
+        np.testing.assert_allclose(first, [2.0, 3.0], rtol=0, atol=1e-15)
+        second = _departures(np.array([2.8 - 2.5]), np.array([0]), np.array([first[-1] - 2.5]),
+                             np.array([1.0]))
+        np.testing.assert_allclose(second + 2.5, [4.0], rtol=0, atol=1e-15)
+
+
 class TestRun:
     def test_estimate_arithmetic_identity(self):
         # mean potential 4/3 -> q = (4/3)/(1+4/3) = 4/7
@@ -147,6 +192,20 @@ class TestRun:
         est = run(net, 10_000, observe_every=1000, seed=0, burn_in=2000)
         assert est.observation_count == 8
 
+    def test_first_windows_by_hand(self, monkeypatch):
+        # The first event is an external arrival.  A window closed by it saw
+        # the empty network; a window from it to the next event saw exactly
+        # one spike, waiting at the visual neuron.  Slabs of about one
+        # arrival make that window span slab boundaries.
+        net = compile_sim(scalar_model(), [0.7])
+        for slab in (simulation._SLAB_EVENTS, 2):
+            monkeypatch.setattr(simulation, "_SLAB_EVENTS", slab)
+            for seed in range(5):
+                est = run(net, 1, observe_every=1, seed=seed)
+                np.testing.assert_array_equal(est.mean_potential, [0.0, 0.0, 0.0])
+                est = run(net, 2, observe_every=1, burn_in=1, seed=seed)
+                np.testing.assert_allclose(est.mean_potential, [1.0, 0.0, 0.0], rtol=1e-12, atol=0)
+
     def test_needs_at_least_one_observation(self):
         net = compile_sim(scalar_model(), [0.7])
         with pytest.raises(ValueError, match="no observation"):
@@ -170,6 +229,26 @@ class TestRun:
         diffs = compare(est, numeric)
         assert [d.layer for d in diffs] == ["visual", "enc1", "dec1"]
         assert max(d.max_abs_diff for d in diffs) < 0.02
+
+    def test_overloaded_neuron_backlog_across_slabs(self):
+        # arrivals at 2 against service at 1: the backlog grows without bound
+        # and is carried through every slab; q approaches 1 from below
+        net = SimNetwork([1], [], [2.0], ["visual"])
+        qs = [run(net, n, seed=0).q[0] for n in (10_000, 100_000, 400_000)]
+        assert qs[0] < qs[1] < qs[2] < 1.0, qs
+        assert 1.0 - qs[2] < 1e-4, qs
+
+    def test_memory_bounded_in_event_budget(self):
+        net = compile_sim(scalar_model(), [0.7])
+        peaks = []
+        for n in (100_000, 1_000_000):
+            tracemalloc.start()
+            try:
+                run(net, n, seed=0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], peaks
 
     def test_q_in_unit_interval(self):
         model = init_weights([4, 2], seed=3)
@@ -230,3 +309,35 @@ class TestTrainedModelAgreement:
         est = run(net, 1_000_000, seed=0)
         diffs = compare(est, forward(model, x[0].reshape(1, -1)))
         assert max(d.max_abs_diff for d in diffs) < 0.03
+
+
+class TestGillespieCrossCheck:
+    """The sweep against the event-by-event reference engine
+    (tests/oracles.py): both simulate the same network with the same
+    estimator, so each neuron's mean potential must agree within the
+    across-seed standard errors."""
+
+    @staticmethod
+    def mean_and_se(simulate, seeds):
+        k = np.array([simulate(seed).mean_potential for seed in seeds])
+        return k.mean(axis=0), k.std(axis=0, ddof=1) / np.sqrt(len(seeds))
+
+    @pytest.mark.parametrize(
+        "net",
+        [
+            compile_sim(scalar_model(), [0.7]),
+            compile_sim(init_weights([3, 2], seed=1), [0.5, 0.1, 0.3]),
+        ],
+        ids=["scalar_chain", "3-2-3"],
+    )
+    def test_mean_potentials_agree(self, net, monkeypatch):
+        ref, ref_se = self.mean_and_se(
+            lambda s: gillespie_run(net, 20_000, seed=s), range(1000, 1024)
+        )
+        # default slabs, and slabs so small that each run crosses dozens of
+        # slab boundaries: where the slabs end must not change the law
+        for slab in (simulation._SLAB_EVENTS, 1 << 9):
+            monkeypatch.setattr(simulation, "_SLAB_EVENTS", slab)
+            sweep, sweep_se = self.mean_and_se(lambda s: run(net, 20_000, seed=s), range(24))
+            z = (sweep - ref) / np.hypot(sweep_se, ref_se)
+            assert np.abs(z).max() < 4.0, (slab, sweep, ref, z)

@@ -81,6 +81,15 @@ class TestSolveSteadyState:
         with pytest.raises(ValueError, match="sum to more than 1"):
             solve_steady_state(bad)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["rates", "p_plus", "p_minus", "lam_plus", "lam_minus"])
+    def test_non_finite_spec_rejected(self, field, bad):
+        # rates, routing matrices and arrival rates: every field kind
+        spec = spec_of(2, lam_plus=[0.3, 0.2])
+        getattr(spec, field).flat[0] = bad
+        with pytest.raises(ValueError, match=f"{field} has NaN or infinite"):
+            solve_steady_state(spec)
+
     def test_bad_tol(self):
         with pytest.raises(ValueError, match="tol"):
             solve_steady_state(spec_of(1), tol=0.0)

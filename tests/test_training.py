@@ -202,7 +202,10 @@ class TestTrainShallow:
     def test_requires_budget(self):
         with pytest.raises(ValueError, match="max_iterations"):
             train(np.ones((4, 2)) * 0.5, [2, 1], TrainConfig(batch_size=2))
-        for name, value in (("max_iterations", 0), ("max_iterations", -3), ("max_epochs", 0)):
+        for name, value in (
+            ("max_iterations", 0), ("max_iterations", -3), ("max_epochs", 0),
+            ("rel_tol", -1.0), ("rel_tol", np.nan), ("rel_tol", np.inf),
+        ):
             with pytest.raises(ValueError, match=name):
                 TrainConfig(**{name: value})
 
