@@ -6,7 +6,15 @@
     lrnn simulate --model model.lrnn --data X --index 0 --events 1000000 \
                   --observe-every 1000 --seed 0 --out sim.csv
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
+Exit codes are decided in one place, :func:`main`, which prints one line
+for a failure:
+
+- 0 success, a dead-network simulation included (its estimates are 0);
+- 1 usage error: a bad flag value, contradicting flags, or an event
+  budget that yields no observation;
+- 2 data error: a data or model file that cannot be used (wrong width,
+  ``--index`` out of range), and any file that cannot be read or written;
+- 3 numeric failure: training, compiling or simulating the model failed.
 """
 
 from __future__ import annotations
@@ -14,19 +22,26 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from pathlib import Path
 
 from . import data as data_mod
 from .model import LrnnModel, dataset_error, forward
 from .model_io import load_model, save_model
 from .simulation import DeadNetworkError, QEstimate, compare, compile_sim, run
 from .steady_state import ConvergenceError
-from .training import TrainConfig, train
+from .training import TrainConfig, _encode_dims, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+
+
+class UsageError(Exception):
+    """Flags that each parse but cannot be used together (exit 1)."""
+
+
+class DataError(Exception):
+    """An input file that was read but cannot be used (exit 2)."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -47,42 +62,9 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
         help="container format; default: manifest for *.json, else guessed from suffix",
     )
     p.add_argument("--name", default=None, help="dataset name inside a manifest")
-    p.add_argument("--delimiter", default=",", help="csv delimiter (default ,)")
+    p.add_argument("--delimiter", type=_one_char, default=",", help="csv delimiter (default ,)")
     p.add_argument("--header", action="store_true", help="csv file has a header row")
     p.add_argument("--label-column", type=int, default=None, help="csv column to drop")
-
-
-def _load_data(args) -> data_mod.Dataset:
-    fmt = args.format
-    path = Path(args.data)
-    if fmt is None:
-        if path.suffix == ".json":
-            fmt = "manifest"
-        elif path.suffix == ".csv":
-            fmt = "csv"
-        elif path.is_dir() or path.suffix == ".bin":
-            fmt = "cifar"
-        else:
-            fmt = "idx"
-    if fmt == "manifest":
-        entries = data_mod.load_manifest(path)
-        name = args.name
-        if name is None:
-            if len(entries) != 1:
-                raise ValueError(
-                    f"manifest {path} has {len(entries)} datasets; pick one with --name"
-                )
-            name = next(iter(entries))
-        return data_mod.load_manifest_entry(path, name)
-    if fmt == "cifar" and not path.is_dir() and "," in args.data:
-        return data_mod.load_dataset(args.data.split(","), "cifar")
-    return data_mod.load_dataset(
-        path,
-        fmt,
-        delimiter=args.delimiter,
-        has_header=args.header,
-        label_column=args.label_column,
-    )
 
 
 def _positive_int(text: str) -> int:
@@ -106,46 +88,55 @@ def _non_negative_float(text: str) -> float:
     return value
 
 
+def _one_char(text: str) -> str:
+    if len(text) != 1:
+        raise ValueError(text)
+    return text
+
+
+def _arch(text: str) -> list[int]:
+    return _encode_dims(text.split(","))
+
+
 # argparse reports a failed conversion as "invalid <type __name__> value: ..."
 _positive_int.__name__ = "positive integer"
 _non_negative_int.__name__ = "non-negative integer"
 _non_negative_float.__name__ = "non-negative number"
+_one_char.__name__ = "one-character"
+_arch.__name__ = "layer sizes"
 
 
-def _parse_arch(spec: str) -> list[int]:
+def _read(load, *args, **kwargs):
+    """Call a file loader; a ``ValueError`` from it is a data error."""
     try:
-        dims = [int(v) for v in spec.split(",")]
-    except ValueError:
-        raise ValueError(f"--arch must be comma-separated integers, got {spec!r}") from None
-    if len(dims) < 2 or any(d < 1 for d in dims):
-        raise ValueError(f"--arch needs >= 2 positive sizes, got {spec!r}")
-    return dims
-
-
-def cmd_train(args) -> int:
-    try:
-        dims = _parse_arch(args.arch)
+        return load(*args, **kwargs)
     except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        raise DataError(e) from e
+
+
+def _load_data(args, width: int, what: str) -> data_mod.Dataset:
+    """Load ``--data``, refusing it unless it has ``width`` attributes."""
+    dataset = _read(
+        data_mod.load_dataset,
+        args.data,
+        args.format,
+        name=args.name,
+        delimiter=args.delimiter,
+        has_header=args.header,
+        label_column=args.label_column,
+    )
+    if dataset.attribute_count != width:
+        raise DataError(f"dataset has {dataset.attribute_count} attributes, {what} {width}")
+    return dataset
+
+
+def cmd_train(args) -> None:
+    dims = args.arch
     if args.algo == "shallow" and len(dims) != 2:
-        print("error: --algo shallow needs --arch V,H", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("--algo shallow needs --arch V,H")
     if args.iters is None and args.epochs is None:
-        print("error: set --iters and/or --epochs", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        dataset = _load_data(args)
-    except (OSError, ValueError) as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    if dataset.attribute_count != dims[0]:
-        print(
-            f"data error: dataset has {dataset.attribute_count} attributes, "
-            f"--arch starts with {dims[0]}",
-            file=sys.stderr,
-        )
-        return EXIT_DATA
+        raise UsageError("set --iters and/or --epochs")
+    dataset = _load_data(args, dims[0], "--arch starts with")
     cfg = TrainConfig(
         batch_size=args.batch,
         max_iterations=args.iters,
@@ -165,55 +156,27 @@ def cmd_train(args) -> int:
                 full_rows[iteration] = dataset_error(model, dataset.x)
 
     algo = "greedy" if args.algo == "greedy" else "joint"  # shallow is joint at depth 1
-    try:
-        model, report = train(dataset.x, dims, cfg, algo, observer)
-    except (ValueError, ConvergenceError, FloatingPointError) as e:
-        print(f"numeric failure: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
+    model, report = train(dataset.x, dims, cfg, algo, observer)
     save_model(model, args.out)
     if args.curve:
+        tagged = bool(args.full_error_every)
         with open(args.curve, "w") as f:
-            if args.full_error_every:
-                f.write("iter,error,kind\n")
-                for i, err in report.error_curve:
-                    f.write(f"{i},{err:.17g},batch\n")
-                    if i in full_rows:
-                        f.write(f"{i},{full_rows[i]:.17g},full\n")
-            else:
-                f.write("iter,error\n")
-                for i, err in report.error_curve:
-                    f.write(f"{i},{err:.17g}\n")
+            f.write("iter,error,kind\n" if tagged else "iter,error\n")
+            for i, err in report.error_curve:
+                f.write(f"{i},{err:.17g},batch\n" if tagged else f"{i},{err:.17g}\n")
+                if i in full_rows:
+                    f.write(f"{i},{full_rows[i]:.17g},full\n")
     print(f"final full-dataset error: {report.final_full_error:.17g}")
     print(f"iterations: {len(report.error_curve)}  wall time: {report.wall_time:.2f}s")
-    return EXIT_OK
 
 
-def _load_model_and_data(args) -> tuple[LrnnModel, data_mod.Dataset] | int:
-    try:
-        model = load_model(args.model)
-    except (OSError, ValueError) as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    try:
-        dataset = _load_data(args)
-    except (OSError, ValueError) as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    if dataset.attribute_count != model.visible_dim:
-        print(
-            f"data error: dataset has {dataset.attribute_count} attributes, "
-            f"model expects {model.visible_dim}",
-            file=sys.stderr,
-        )
-        return EXIT_DATA
-    return model, dataset
+def _load_model_and_data(args) -> tuple[LrnnModel, data_mod.Dataset]:
+    model = _read(load_model, args.model)
+    return model, _load_data(args, model.visible_dim, "model expects")
 
 
-def cmd_eval(args) -> int:
-    loaded = _load_model_and_data(args)
-    if isinstance(loaded, int):
-        return loaded
-    model, dataset = loaded
+def cmd_eval(args) -> None:
+    model, dataset = _load_model_and_data(args)
     err = dataset_error(model, dataset.x)
     if args.dump:
         with open(args.dump, "w") as f:
@@ -222,40 +185,30 @@ def cmd_eval(args) -> int:
                 for row in recon:
                     f.write(",".join(f"{v:.17g}" for v in row) + "\n")
     print(f"reconstruction error: {err:.17g}")
-    return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    loaded = _load_model_and_data(args)
-    if isinstance(loaded, int):
-        return loaded
-    model, dataset = loaded
-    if not 0 <= args.index < dataset.instance_count:
-        print(
-            f"data error: --index {args.index} out of range "
-            f"(dataset has {dataset.instance_count} instances)",
-            file=sys.stderr,
+def cmd_simulate(args) -> None:
+    if args.events < args.burn_in + args.observe_every:
+        raise UsageError(
+            f"--events {args.events} yields no observation "
+            f"(--burn-in {args.burn_in} + --observe-every {args.observe_every} needed)"
         )
-        return EXIT_DATA
+    model, dataset = _load_model_and_data(args)
+    if not 0 <= args.index < dataset.instance_count:
+        raise DataError(
+            f"--index {args.index} out of range "
+            f"(dataset has {dataset.instance_count} instances)"
+        )
     instance = dataset.x[args.index]
     numeric = forward(model, instance.reshape(1, -1))
-    try:
-        net = compile_sim(model, instance)
-    except ValueError as e:
-        print(f"numeric failure: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
+    net = compile_sim(model, instance)
     try:
         est = run(net, args.events, args.observe_every, seed=args.seed, burn_in=args.burn_in)
     except DeadNetworkError as e:
         print(f"dead network: {e}; all estimates are 0", file=sys.stderr)
         est = QEstimate.zeros(net)
-    except ValueError as e:
-        print(f"numeric failure: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
     diffs = compare(est, numeric)
-    numeric_layers = [numeric.q_hat.ravel()] + [a.ravel() for a in numeric.q_enc] + [
-        a.ravel() for a in numeric.q_dec
-    ]
+    numeric_layers = [a.ravel() for a in [numeric.q_hat, *numeric.q_enc, *numeric.q_dec]]
     if args.out:
         with open(args.out, "w") as f:
             f.write("layer,neuron,q_sim,q_num,abs_diff\n")
@@ -264,7 +217,6 @@ def cmd_simulate(args) -> int:
                     f.write(f"{name},{neuron},{s:.17g},{n:.17g},{abs(s - n):.17g}\n")
     for d in diffs:
         print(f"{d.layer}: max abs diff {d.max_abs_diff:.6g}  mean abs diff {d.mean_abs_diff:.6g}")
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -273,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", parents=[], help="train an autoencoder")
     _add_data_flags(p)
-    p.add_argument("--arch", required=True, help="layer sizes, e.g. 784,100")
+    p.add_argument("--arch", type=_arch, required=True, help="layer sizes, e.g. 784,100")
     p.add_argument("--algo", choices=["shallow", "greedy", "joint"], default="shallow")
     p.add_argument("--batch", type=_positive_int, default=100)
     p.add_argument("--iters", type=_positive_int, default=None, help="total minibatch updates")
@@ -314,12 +266,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command; the only place a failure becomes an exit code."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code) if e.code else EXIT_OK
-    return args.func(args)
+    try:
+        args.func(args)
+    except UsageError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except (DataError, OSError) as e:
+        print(f"data error: {e}", file=sys.stderr)
+        return EXIT_DATA
+    except (ValueError, ConvergenceError, FloatingPointError) as e:
+        print(f"numeric failure: {e}", file=sys.stderr)
+        return EXIT_NUMERIC
+    return EXIT_OK
 
 
 def entry() -> None:

@@ -200,8 +200,9 @@ def iter_minibatches(
 
 def load_dataset(
     path,
-    fmt: str,
+    fmt: str | None = None,
     *,
+    name: str | None = None,
     delimiter: str = ",",
     has_header: bool = False,
     label_column: int | None = None,
@@ -209,11 +210,36 @@ def load_dataset(
 ) -> Dataset:
     """Dispatch on format and return a training-ready dataset in [0, 1].
 
+    ``fmt`` is ``"idx"``, ``"cifar"``, ``"csv"`` or ``"manifest"``.  With
+    ``fmt=None`` it is guessed from ``path``: ``manifest`` for ``*.json``,
+    ``csv`` for ``*.csv``, ``cifar`` for a directory or a ``*.bin`` file
+    (comma-separated ``*.bin`` files included), and ``idx`` for anything else.
+
     IDX and CIFAR pixels are already scaled by the loaders; CSV tables are
     column-normalized unless ``normalize`` is disabled.
     ``fmt="cifar"`` accepts a single file, a directory (all ``*.bin`` files,
-    sorted), or a list of files.
+    sorted), a list of files or a string of comma-separated files.
+    ``fmt="manifest"`` loads entry ``name`` of the manifest at ``path``, or
+    its only entry when ``name`` is None; the entry's own settings replace
+    ``delimiter``, ``has_header`` and ``label_column``.
     """
+    if fmt is None:
+        fmt = _guess_format(path)
+    if fmt == "manifest":
+        entries = load_manifest(path)
+        if name is None:
+            if len(entries) != 1:
+                raise ValueError(
+                    f"manifest {path} has {len(entries)} datasets; pick one by name"
+                )
+            name = next(iter(entries))
+        if name not in entries:
+            known = ", ".join(sorted(entries))
+            raise ValueError(f"dataset {name!r} not in manifest (has: {known})")
+        e = entries[name]
+        path, fmt = e["path"], e["format"]
+        delimiter, label_column = e.get("delimiter", ","), e.get("label_column")
+        has_header = bool(e.get("header", False))
     if fmt == "idx":
         return load_idx(path)
     if fmt == "cifar":
@@ -222,11 +248,22 @@ def load_dataset(
             if not batches:
                 raise ValueError(f"no *.bin batch files under {path}")
             path = batches
+        elif isinstance(path, str) and "," in path:
+            path = path.split(",")
         return load_cifar10(path)
     if fmt == "csv":
         d = load_csv(path, delimiter=delimiter, has_header=has_header, label_column=label_column)
         return normalize_unit_interval(d) if normalize else d
     raise ValueError(f"unknown dataset format {fmt!r}")
+
+
+def _guess_format(path) -> str:
+    path = Path(path)
+    if path.suffix == ".json":
+        return "manifest"
+    if path.suffix == ".csv":
+        return "csv"
+    return "cifar" if path.is_dir() or path.suffix == ".bin" else "idx"
 
 
 def load_manifest(path) -> dict[str, dict]:
@@ -256,15 +293,4 @@ def load_manifest(path) -> dict[str, dict]:
 
 def load_manifest_entry(manifest_path, name: str) -> Dataset:
     """Load one named dataset from a manifest file."""
-    entries = load_manifest(manifest_path)
-    if name not in entries:
-        known = ", ".join(sorted(entries))
-        raise ValueError(f"dataset {name!r} not in manifest (has: {known})")
-    e = entries[name]
-    return load_dataset(
-        e["path"],
-        e["format"],
-        delimiter=e.get("delimiter", ","),
-        has_header=bool(e.get("header", False)),
-        label_column=e.get("label_column"),
-    )
+    return load_dataset(manifest_path, "manifest", name=name)

@@ -213,3 +213,13 @@ def validate_constraints(model: LrnnModel) -> list[ConstraintViolation]:
         for row in np.flatnonzero(row_sum > 1.0 + ROW_SUM_SLACK):
             violations.append(ConstraintViolation(name, int(row), "row_sum", float(row_sum[row])))
     return violations
+
+
+def reject_violations(violations: list[ConstraintViolation], what: str = "model") -> None:
+    """Raise ``ValueError`` naming the first of ``validate_constraints``' findings, if any."""
+    if violations:
+        v = violations[0]
+        raise ValueError(
+            f"{what} violates RNN constraints ({len(violations)} row(s); first: "
+            f"{v.layer} row {v.row} {v.kind} {v.value:.6g})"
+        )

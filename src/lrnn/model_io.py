@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import LrnnModel, validate_constraints
+from .model import LrnnModel, reject_violations, validate_constraints
 
 FORMAT_TAG = "LRNN1"
 
@@ -106,11 +106,5 @@ def load_model(path) -> LrnnModel:
     if r.next_line_or_none() is not None:
         raise ValueError(f"{r.path}: trailing content after the final block")
     model = LrnnModel(encode, decode)
-    violations = validate_constraints(model)
-    if violations:
-        v = violations[0]
-        raise ValueError(
-            f"{r.path}: stored model violates RNN constraints "
-            f"({len(violations)} row(s); first: {v.layer} row {v.row} {v.kind} {v.value:.6g})"
-        )
+    reject_violations(validate_constraints(model), f"{r.path}: stored model")
     return model

@@ -52,7 +52,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import ROW_SUM_SLACK, ActivationState, LrnnModel, as_matrix, validate_constraints
+from .model import (
+    ROW_SUM_SLACK,
+    ActivationState,
+    LrnnModel,
+    as_matrix,
+    reject_violations,
+    validate_constraints,
+)
 
 #: Events per slab.  A slab lasts as long as ``_SLAB_EVENTS // (layers + 1)``
 #: external arrivals take on average, and each arrival causes at most one
@@ -129,13 +136,7 @@ class SimNetwork:
 
 def compile_sim(model: LrnnModel, instance) -> SimNetwork:
     """Build the spiking network for ``model`` driven by one instance's attributes."""
-    violations = validate_constraints(model)
-    if violations:
-        first = violations[0]
-        raise ValueError(
-            f"model violates RNN constraints ({len(violations)} row(s); first: "
-            f"{first.layer} row {first.row} {first.kind} {first.value:.6g})"
-        )
+    reject_violations(validate_constraints(model))
     sizes = model.encode_dims + model.decode_dims[1:]
     chain = list(model.encode_weights) + list(model.decode_weights)
     names = (

@@ -305,3 +305,68 @@ class TestParser:
 
     def test_unknown_command(self):
         assert main(["frobnicate"]) == EXIT_USAGE
+
+
+def _train(*extra, data="{data}", arch="4,2", budget=("--iters", "3"), out="{out}"):
+    return ["train", "--data", data, "--arch", arch, *budget, "--out", out, *extra]
+
+
+def _simulate(*extra, model="{model}"):
+    return ["simulate", "--model", model, "--data", "{data}", "--events", "2000", *extra]
+
+
+#: (name, argv template, exit code) of every documented failure.
+EXIT_CASES = [
+    ("bad flag", _train("--batch", "0"), EXIT_USAGE),
+    ("bad arch", _train(arch="4,x"), EXIT_USAGE),
+    ("no budget", _train(budget=()), EXIT_USAGE),
+    ("shallow with deep arch", _train(arch="4,3,2"), EXIT_USAGE),
+    ("empty delimiter", _train("--delimiter", ""), EXIT_USAGE),
+    ("two-character delimiter", _train("--delimiter", ";;"), EXIT_USAGE),
+    ("no observation", _simulate("--events", "10", "--observe-every", "100", "--out", "{out}"),
+     EXIT_USAGE),
+    ("burn-in eats the budget",
+     _simulate("--events", "150", "--burn-in", "100", "--observe-every", "100", "--out", "{out}"),
+     EXIT_USAGE),
+    ("no observation, model never read",
+     _simulate("--events", "10", "--observe-every", "100", model="{tmp}/missing.lrnn"),
+     EXIT_USAGE),
+    ("missing data file", _train(data="{tmp}/missing.csv"), EXIT_DATA),
+    ("attribute mismatch", _train(arch="5,2"), EXIT_DATA),
+    ("model width mismatch", ["eval", "--model", "{model}", "--data", "{narrow}"], EXIT_DATA),
+    ("missing model file", _simulate(model="{tmp}/missing.lrnn"), EXIT_DATA),
+    ("bad model file", _simulate(model="{data}"), EXIT_DATA),
+    ("index out of range", _simulate("--index", "30"), EXIT_DATA),
+    ("unwritable train --out", _train(out="{tmp}/no/m.lrnn"), EXIT_DATA),
+    ("unwritable train --curve", _train("--curve", "{tmp}/no/c.csv"), EXIT_DATA),
+    ("unwritable eval --dump",
+     ["eval", "--model", "{model}", "--data", "{data}", "--dump", "{tmp}/no/r.csv"], EXIT_DATA),
+    ("unwritable simulate --out", _simulate("--out", "{tmp}/no/s.csv"), EXIT_DATA),
+]
+
+
+class TestExitCodes:
+    """Each failure returns its code from ``main`` with one message; nothing escapes."""
+
+    @pytest.fixture
+    def paths(self, csv_dataset, tmp_path):
+        model = tmp_path / "m.lrnn"
+        assert main(train_args(csv_dataset, model)) == EXIT_OK
+        narrow = tmp_path / "narrow.csv"
+        narrow.write_text("1,2\n3,4\n")
+        return {"data": csv_dataset, "model": model, "narrow": narrow,
+                "tmp": tmp_path, "out": tmp_path / "out"}
+
+    @pytest.mark.parametrize("argv,code", [c[1:] for c in EXIT_CASES],
+                             ids=[c[0] for c in EXIT_CASES])
+    def test_failure_exit_code(self, paths, argv, code, capsys):
+        capsys.readouterr()
+        assert main([a.format(**paths) for a in argv]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        prefix = {EXIT_USAGE: "error: ", EXIT_DATA: "data error: "}[code]
+        assert prefix in err.splitlines()[-1], err
+        if code == EXIT_DATA:
+            assert len(err.splitlines()) == 1, err
+        else:  # refused before anything is read or written
+            assert not paths["out"].exists()

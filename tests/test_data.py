@@ -1,5 +1,7 @@
 """Container parsing, normalization and minibatch iteration."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -216,3 +218,63 @@ class TestManifest:
         assert d.x.shape == (2, 9)
         with pytest.raises(ValueError, match="unknown dataset format"):
             load_dataset(path, "tar")
+
+
+class TestLoadDatasetGuess:
+    """``load_dataset(path)`` without a format guesses it from the path."""
+
+    @pytest.fixture
+    def table(self, tmp_path):
+        f = tmp_path / "t.csv"
+        f.write_text("0,4\n2,8\n")
+        return f
+
+    def write_manifest(self, tmp_path, entries):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(entries))
+        return path
+
+    def test_csv_suffix(self, table):
+        d = load_dataset(table)
+        np.testing.assert_array_equal(d.x, [[0.0, 0.0], [1.0, 1.0]])
+
+    def test_json_suffix_is_a_manifest(self, table, tmp_path):
+        manifest = self.write_manifest(tmp_path, {"t": {"path": table.name, "format": "csv"}})
+        np.testing.assert_array_equal(load_dataset(manifest).x, load_dataset(table, "csv").x)
+
+    def test_directory_is_cifar(self, cifar_file, tmp_path):
+        (tmp_path / "batches").mkdir()
+        cifar_file([1, 2], np.zeros((2, 3072)), "batches/a.bin")
+        cifar_file([3], np.full((1, 3072), 255), "batches/b.bin")
+        d = load_dataset(tmp_path / "batches")
+        assert d.x.shape == (3, 3072)
+        assert (d.x[2] == 1.0).all()
+
+    def test_bin_suffix_is_cifar(self, cifar_file):
+        assert load_dataset(cifar_file([7], np.full((1, 3072), 51))).x.shape == (1, 3072)
+
+    def test_comma_list_of_bin_files(self, cifar_file):
+        a = cifar_file([1], np.zeros((1, 3072)), "a.bin")
+        b = cifar_file([2, 3], np.zeros((2, 3072)), "b.bin")
+        assert load_dataset(f"{a},{b}").x.shape == (3, 3072)
+
+    @pytest.mark.parametrize("name", ["images.idx", "train-images-idx3-ubyte", "x.gz"])
+    def test_anything_else_is_idx(self, idx_file, name):
+        d = load_dataset(idx_file(np.zeros((2, 3, 3), dtype=np.uint8), name))
+        assert d.x.shape == (2, 9)
+
+    def test_one_entry_manifest_needs_no_name(self, table, tmp_path):
+        manifest = self.write_manifest(tmp_path, {"t": {"path": str(table), "format": "csv"}})
+        assert load_dataset(manifest, "manifest").x.shape == (2, 2)
+
+    def test_two_entry_manifest_needs_a_name(self, table, tmp_path):
+        entry = {"path": str(table), "format": "csv"}
+        manifest = self.write_manifest(tmp_path, {"a": entry, "b": entry})
+        with pytest.raises(ValueError, match="2 datasets"):
+            load_dataset(manifest)
+        assert load_dataset(manifest, name="b").x.shape == (2, 2)
+
+    def test_manifest_entry_cannot_be_a_manifest(self, tmp_path):
+        manifest = self.write_manifest(tmp_path, {"m": {"path": "m.json", "format": "manifest"}})
+        with pytest.raises(ValueError, match="unknown dataset format 'manifest'"):
+            load_dataset(manifest)
