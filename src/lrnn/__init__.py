@@ -8,17 +8,7 @@ and validated by discrete-event simulation of the underlying spiking
 network.
 """
 
-from .data import (
-    Dataset,
-    iter_minibatches,
-    load_cifar10,
-    load_csv,
-    load_dataset,
-    load_idx,
-    load_manifest,
-    load_manifest_entry,
-    normalize_unit_interval,
-)
+from .data import Dataset, iter_minibatches, load_dataset
 from .model import (
     ActivationState,
     ConstraintViolation,
@@ -38,7 +28,6 @@ from .simulation import (
     compare,
     compile_sim,
     run,
-    run_ensemble,
 )
 from .steady_state import (
     ConvergenceError,
@@ -78,19 +67,12 @@ __all__ = [
     "forward",
     "init_weights",
     "iter_minibatches",
-    "load_cifar10",
-    "load_csv",
     "load_dataset",
-    "load_idx",
-    "load_manifest",
-    "load_manifest_entry",
     "load_model",
-    "normalize_unit_interval",
     "project_rows",
     "reconstruction_error",
     "rescale_saturation",
     "run",
-    "run_ensemble",
     "save_model",
     "solve_steady_state",
     "train",

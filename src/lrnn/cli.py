@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from . import data as data_mod
 from .model import LrnnModel, dataset_error, forward
 from .model_io import load_model, save_model
 from .simulation import DeadNetworkError, QEstimate, compare, compile_sim, run
-from .steady_state import ConvergenceError
 from .training import TrainConfig, _encode_dims, train
 
 EXIT_OK = 0
@@ -160,12 +160,16 @@ def cmd_train(args) -> None:
     save_model(model, args.out)
     if args.curve:
         tagged = bool(args.full_error_every)
-        with open(args.curve, "w") as f:
-            f.write("iter,error,kind\n" if tagged else "iter,error\n")
-            for i, err in report.error_curve:
-                f.write(f"{i},{err:.17g},batch\n" if tagged else f"{i},{err:.17g}\n")
-                if i in full_rows:
-                    f.write(f"{i},{full_rows[i]:.17g},full\n")
+        try:
+            with open(args.curve, "w") as f:
+                f.write("iter,error,kind\n" if tagged else "iter,error\n")
+                for i, err in report.error_curve:
+                    f.write(f"{i},{err:.17g},batch\n" if tagged else f"{i},{err:.17g}\n")
+                    if i in full_rows:
+                        f.write(f"{i},{full_rows[i]:.17g},full\n")
+        except OSError:
+            os.remove(args.out)  # a failed command leaves no model behind
+            raise
     print(f"final full-dataset error: {report.final_full_error:.17g}")
     print(f"iterations: {len(report.error_curve)}  wall time: {report.wall_time:.2f}s")
 
@@ -279,7 +283,7 @@ def main(argv=None) -> int:
     except (DataError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
-    except (ValueError, ConvergenceError, FloatingPointError) as e:
+    except (ValueError, FloatingPointError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK

@@ -1,17 +1,19 @@
 """Dataset loading and minibatch iteration.
 
-Supported containers:
+:func:`load_dataset` is the one entry point: it reads any supported
+container and returns a :class:`Dataset` whose values lie in [0, 1].
+Its formats:
 
-- IDX image files (big endian): i32 magic 0x00000803 | i32 count |
+- ``idx``: IDX image files (big endian): i32 magic 0x00000803 | i32 count |
   i32 rows | i32 cols | u8 pixels, row-wise.  Pixels are scaled by 1/255.
-- CIFAR-10 binary batches: 3073-byte records, 1 label byte followed by
-  1024 R + 1024 G + 1024 B pixel bytes.  Labels are discarded, pixels
-  scaled by 1/255.
-- Delimiter-separated numeric tables (UCI-style), optionally with a
-  header row and a label column to drop.  ``?`` or empty cells are
+- ``cifar``: CIFAR-10 binary batches: 3073-byte records, 1 label byte
+  followed by 1024 R + 1024 G + 1024 B pixel bytes.  Labels are discarded,
+  pixels scaled by 1/255.
+- ``csv``: delimiter-separated numeric tables (UCI-style), optionally with
+  a header row and a label column to drop.  ``?`` or empty cells are
   treated as missing and imputed with the column mean; ``nan`` and
-  ``inf`` cells are refused.
-- A JSON manifest mapping dataset names to loader settings.
+  ``inf`` cells are refused.  Each column is then mapped onto [0, 1].
+- ``manifest``: a JSON manifest mapping dataset names to loader settings.
 """
 
 from __future__ import annotations
@@ -35,10 +37,9 @@ _MISSING_CELLS = {"", "?"}
 
 @dataclass(frozen=True)
 class Dataset:
-    """An in-memory instances-by-attributes matrix plus its provenance."""
+    """An in-memory instances-by-attributes matrix."""
 
     x: np.ndarray
-    source: str
 
     @property
     def instance_count(self) -> int:
@@ -49,8 +50,8 @@ class Dataset:
         return self.x.shape[1]
 
 
-def load_idx(images_path) -> Dataset:
-    """Load an IDX3 image file into a (count, rows*cols) matrix scaled to [0, 1]."""
+def _load_idx(images_path) -> np.ndarray:
+    """Read an IDX3 image file into a (count, rows*cols) matrix scaled to [0, 1]."""
     path = Path(images_path)
     raw = path.read_bytes()
     if len(raw) < 16:
@@ -62,14 +63,11 @@ def load_idx(images_path) -> Dataset:
     if len(raw) < expected:
         raise ValueError(f"{path}: truncated IDX file, {len(raw)} bytes < {expected}")
     pixels = np.frombuffer(raw, dtype=np.uint8, count=count * rows * cols, offset=16)
-    x = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
-    return Dataset(x=x, source=f"{path} (idx)")
+    return pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
 
 
-def load_cifar10(batch_paths) -> Dataset:
-    """Load and concatenate CIFAR-10 binary batches; labels are dropped."""
-    if isinstance(batch_paths, (str, Path)):
-        batch_paths = [batch_paths]
+def _load_cifar10(batch_paths: list) -> np.ndarray:
+    """Read and concatenate CIFAR-10 binary batches; labels are dropped."""
     if not batch_paths:
         raise ValueError("no CIFAR-10 batch files given")
     parts = []
@@ -82,17 +80,15 @@ def load_cifar10(batch_paths) -> Dataset:
             )
         records = np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
         parts.append(records[:, 1:])
-    x = np.concatenate(parts, axis=0).astype(np.float64) / 255.0
-    source = ", ".join(str(p) for p in batch_paths)
-    return Dataset(x=x, source=f"{source} (cifar10)")
+    return np.concatenate(parts, axis=0).astype(np.float64) / 255.0
 
 
-def load_csv(
+def _load_csv(
     path,
     delimiter: str = ",",
     has_header: bool = False,
     label_column: int | None = None,
-) -> Dataset:
+) -> np.ndarray:
     """Parse a rectangular numeric table; values are returned unnormalized.
 
     ``label_column`` indexes the raw row (negative indices allowed) and is
@@ -160,18 +156,17 @@ def load_csv(
         means = np.nanmean(x, axis=0)
         idx = np.where(np.isnan(x))
         x[idx] = means[idx[1]]
-    return Dataset(x=x, source=f"{path} (csv)")
+    return x
 
 
-def normalize_unit_interval(d: Dataset) -> Dataset:
+def _normalize_unit_interval(x: np.ndarray) -> np.ndarray:
     """Linearly map each column onto [0, 1]; constant columns map to 0."""
-    x = d.x
     mins = x.min(axis=0)
     spans = x.max(axis=0) - mins
     out = np.zeros_like(x)
     nonconst = spans > 0.0
     out[:, nonconst] = (x[:, nonconst] - mins[nonconst]) / spans[nonconst]
-    return Dataset(x=out, source=d.source + " normalized")
+    return out
 
 
 def iter_minibatches(
@@ -206,27 +201,26 @@ def load_dataset(
     delimiter: str = ",",
     has_header: bool = False,
     label_column: int | None = None,
-    normalize: bool = True,
 ) -> Dataset:
-    """Dispatch on format and return a training-ready dataset in [0, 1].
+    """Read a dataset in any supported format, with every value in [0, 1].
 
     ``fmt`` is ``"idx"``, ``"cifar"``, ``"csv"`` or ``"manifest"``.  With
     ``fmt=None`` it is guessed from ``path``: ``manifest`` for ``*.json``,
     ``csv`` for ``*.csv``, ``cifar`` for a directory or a ``*.bin`` file
     (comma-separated ``*.bin`` files included), and ``idx`` for anything else.
 
-    IDX and CIFAR pixels are already scaled by the loaders; CSV tables are
-    column-normalized unless ``normalize`` is disabled.
-    ``fmt="cifar"`` accepts a single file, a directory (all ``*.bin`` files,
-    sorted), a list of files or a string of comma-separated files.
-    ``fmt="manifest"`` loads entry ``name`` of the manifest at ``path``, or
-    its only entry when ``name`` is None; the entry's own settings replace
-    ``delimiter``, ``has_header`` and ``label_column``.
+    IDX and CIFAR pixels are scaled by 1/255; CSV tables are
+    column-normalized.  ``fmt="cifar"`` accepts a single file, a directory
+    (all ``*.bin`` files, sorted), a list of files or a string of
+    comma-separated files.  ``fmt="manifest"`` loads entry ``name`` of the
+    manifest at ``path``, or its only entry when ``name`` is None; the
+    entry's own settings replace ``delimiter``, ``has_header`` and
+    ``label_column``.
     """
     if fmt is None:
         fmt = _guess_format(path)
     if fmt == "manifest":
-        entries = load_manifest(path)
+        entries = _load_manifest(path)
         if name is None:
             if len(entries) != 1:
                 raise ValueError(
@@ -241,20 +235,22 @@ def load_dataset(
         delimiter, label_column = e.get("delimiter", ","), e.get("label_column")
         has_header = bool(e.get("header", False))
     if fmt == "idx":
-        return load_idx(path)
-    if fmt == "cifar":
+        x = _load_idx(path)
+    elif fmt == "cifar":
         if isinstance(path, (str, Path)) and Path(path).is_dir():
             batches = sorted(Path(path).glob("*.bin"))
             if not batches:
                 raise ValueError(f"no *.bin batch files under {path}")
-            path = batches
-        elif isinstance(path, str) and "," in path:
-            path = path.split(",")
-        return load_cifar10(path)
-    if fmt == "csv":
-        d = load_csv(path, delimiter=delimiter, has_header=has_header, label_column=label_column)
-        return normalize_unit_interval(d) if normalize else d
-    raise ValueError(f"unknown dataset format {fmt!r}")
+        elif isinstance(path, str):
+            batches = path.split(",")
+        else:
+            batches = [path] if isinstance(path, Path) else list(path)
+        x = _load_cifar10(batches)
+    elif fmt == "csv":
+        x = _normalize_unit_interval(_load_csv(path, delimiter, has_header, label_column))
+    else:
+        raise ValueError(f"unknown dataset format {fmt!r}")
+    return Dataset(x)
 
 
 def _guess_format(path) -> str:
@@ -266,7 +262,7 @@ def _guess_format(path) -> str:
     return "cifar" if path.is_dir() or path.suffix == ".bin" else "idx"
 
 
-def load_manifest(path) -> dict[str, dict]:
+def _load_manifest(path) -> dict[str, dict]:
     """Read a manifest: JSON object mapping name -> loader settings.
 
     Each entry needs ``path`` and ``format`` and may add ``delimiter``,
@@ -290,7 +286,3 @@ def load_manifest(path) -> dict[str, dict]:
         entries[name] = entry
     return entries
 
-
-def load_manifest_entry(manifest_path, name: str) -> Dataset:
-    """Load one named dataset from a manifest file."""
-    return load_dataset(manifest_path, "manifest", name=name)

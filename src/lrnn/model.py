@@ -104,12 +104,6 @@ class LrnnModel:
     def code_dim(self) -> int:
         return self.encode_weights[-1].shape[1]
 
-    def copy(self) -> "LrnnModel":
-        return LrnnModel(
-            [w.copy() for w in self.encode_weights],
-            [w.copy() for w in self.decode_weights],
-        )
-
 
 @dataclass
 class ActivationState:

@@ -40,9 +40,8 @@ product-form network.  Times and the open window's potential integral are
 kept relative to the current slab's start, so no sum grows with the
 length of the run.
 
-Randomness comes from numpy's PCG64 generator; ensemble runs split seeds
-with ``SeedSequence.spawn`` so streams never overlap.  Runs are
-deterministic given (network, event budget, seed).
+Randomness comes from numpy's PCG64 generator.  Runs are deterministic
+given (network, event budget, seed).
 """
 
 from __future__ import annotations
@@ -356,30 +355,6 @@ def run(
         events += t.size
     sizes, names = list(net.layer_sizes), list(net.layer_names)
     return QEstimate(sums / observations, observations, sizes, names)
-
-
-def run_ensemble(
-    net: SimNetwork,
-    n_events: int,
-    observe_every: int = 1000,
-    seed=0,
-    runs: int = 4,
-) -> QEstimate:
-    """Pool several independent runs (split seeds) into one estimate.
-
-    Observations are pooled, i.e. the combined mean potential weighs each
-    run by its observation count.
-    """
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
-    children = np.random.SeedSequence(seed).spawn(runs)
-    total_sums = np.zeros(net.n_neurons)
-    total_obs = 0
-    for child in children:
-        est = run(net, n_events, observe_every, seed=child)
-        total_sums += est.mean_potential * est.observation_count
-        total_obs += est.observation_count
-    return QEstimate(total_sums / total_obs, total_obs, list(net.layer_sizes), list(net.layer_names))
 
 
 @dataclass(frozen=True)

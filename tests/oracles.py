@@ -12,7 +12,7 @@ from math import log
 
 import numpy as np
 
-from lrnn.simulation import DeadNetworkError, QEstimate, SimNetwork
+from lrnn.simulation import DeadNetworkError, QEstimate, SimNetwork, run
 
 
 def gram_loops(a) -> list[list[float]]:
@@ -288,3 +288,28 @@ def gillespie_run(
     _advance(net, state, n_events, observe_every, burn_in)
     k_bar = state.observation_sums / state.observation_count
     return QEstimate(k_bar, state.observation_count, list(net.layer_sizes), list(net.layer_names))
+
+
+def run_ensemble(
+    net: SimNetwork,
+    n_events: int,
+    observe_every: int = 1000,
+    seed=0,
+    runs: int = 4,
+) -> QEstimate:
+    """Pool several independent library runs into one estimate.
+
+    Seeds are split with ``SeedSequence.spawn`` so streams never overlap.
+    Observations are pooled, i.e. the combined mean potential weighs each
+    run by its observation count.
+    """
+    if runs < 1:
+        raise ValueError("runs must be >= 1")
+    children = np.random.SeedSequence(seed).spawn(runs)
+    total_sums = np.zeros(net.n_neurons)
+    total_obs = 0
+    for child in children:
+        est = run(net, n_events, observe_every, seed=child)
+        total_sums += est.mean_potential * est.observation_count
+        total_obs += est.observation_count
+    return QEstimate(total_sums / total_obs, total_obs, list(net.layer_sizes), list(net.layer_names))

@@ -28,9 +28,7 @@ from lrnn import (
     feed_forward_spec,
     forward,
     init_weights,
-    load_idx,
-    load_cifar10,
-    load_manifest_entry,
+    load_dataset,
     run,
     solve_steady_state,
     train,
@@ -63,7 +61,7 @@ def criterion(n: int, label: str):
 def mnist_subset():
     """First 10,000 MNIST training images, normalized by the loader."""
     path = conftest.require_mnist_train()
-    d = load_idx(path)
+    d = load_dataset(path, "idx")
     assert d.attribute_count == 784
     return d.x[:10_000]
 
@@ -78,7 +76,7 @@ def mnist_model(mnist_subset):
 def test_criterion_1_mnist_shallow(request):
     with criterion(1, "MNIST shallow 784->100"):
         if full_scale():
-            x = load_idx(conftest.require_mnist_train()).x
+            x = load_dataset(conftest.require_mnist_train(), "idx").x
             assert x.shape[0] == 60_000
             cfg = TrainConfig(batch_size=100, max_iterations=6000, seed=0)
             _, report = train(x, [784, 100], cfg)
@@ -93,7 +91,7 @@ def test_criterion_1_mnist_shallow(request):
 def test_criterion_2_mnist_multilayer(request):
     with criterion(2, "MNIST greedy multi-layer"):
         if full_scale():
-            x = load_idx(conftest.require_mnist_train()).x
+            x = load_dataset(conftest.require_mnist_train(), "idx").x
             cfg = TrainConfig(batch_size=100, max_iterations=3000, seed=0)
             _, report = train(x, [784, 1000, 500, 250, 50], cfg, "greedy")
             assert report.final_full_error <= 0.024, report.final_full_error
@@ -109,13 +107,13 @@ def test_criterion_3_cifar_shallow():
     with criterion(3, "CIFAR-10 shallow 3072->150"):
         batches = conftest.require_cifar_batches()
         if full_scale():
-            x = load_cifar10(batches).x
+            x = load_dataset(batches, "cifar").x
             assert x.shape[0] == 60_000
             cfg = TrainConfig(batch_size=100, max_iterations=6000, seed=0)
             _, report = train(x, [3072, 150], cfg)
             assert report.final_full_error <= 0.012, report.final_full_error
         else:
-            x = load_cifar10(batches[0]).x[:5000]
+            x = load_dataset(batches[0], "cifar").x[:5000]
             cfg = TrainConfig(batch_size=100, max_iterations=600, seed=0)
             _, report = train(x, [3072, 150], cfg)
             assert report.final_full_error <= 0.02, report.final_full_error
@@ -262,7 +260,7 @@ def test_criterion_9_uci_smoke_suite(dataset_manifest):
     with criterion(9, "manifest-driven smoke suite"):
         assert len(UCI_SUITE) >= 5
         for name in UCI_SUITE:
-            d = load_manifest_entry(dataset_manifest, name)
+            d = load_dataset(dataset_manifest, name=name)
             if name == "iris":
                 assert (d.attribute_count, d.instance_count) == (4, 150)
             v = d.attribute_count

@@ -1,5 +1,6 @@
-"""The public API: every exported name resolves, and the calls the benchmark
-scripts (bench/replay.py, bench/probe.py) make still bind."""
+"""The public API: the exported names are exactly the pinned set, each one
+resolves, and the calls the benchmark scripts (bench/replay.py,
+bench/probe.py) make still bind."""
 
 import inspect
 
@@ -27,6 +28,22 @@ BENCH_CALLS = (
     ("run", 3, ("seed",)),
     ("compare", 2, ()),
 )
+
+
+#: Every public name; an export is added or removed by editing this set.
+PUBLIC_API = {
+    "ActivationState", "ConstraintViolation", "ConvergenceError", "Dataset",
+    "DeadNetworkError", "LayerComparison", "LrnnModel", "QEstimate", "RnnNetworkSpec",
+    "SimNetwork", "TrainConfig", "TrainReport", "clamp_unit", "compare", "compile_sim",
+    "dataset_error", "feed_forward_spec", "forward", "init_weights", "iter_minibatches",
+    "load_dataset", "load_model", "project_rows", "reconstruction_error",
+    "rescale_saturation", "run", "save_model", "solve_steady_state", "train",
+    "update_decode", "update_encode", "validate_constraints",
+}
+
+
+def test_public_api_is_pinned():
+    assert set(lrnn.__all__) == PUBLIC_API
 
 
 def test_all_names_resolve():

@@ -368,5 +368,4 @@ class TestExitCodes:
         assert prefix in err.splitlines()[-1], err
         if code == EXIT_DATA:
             assert len(err.splitlines()) == 1, err
-        else:  # refused before anything is read or written
-            assert not paths["out"].exists()
+        assert not paths["out"].exists()  # a failed command leaves no output

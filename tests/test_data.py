@@ -5,54 +5,45 @@ import json
 import numpy as np
 import pytest
 
-from lrnn import (
-    Dataset,
-    iter_minibatches,
-    load_cifar10,
-    load_csv,
-    load_dataset,
-    load_idx,
-    load_manifest,
-    load_manifest_entry,
-    normalize_unit_interval,
-)
+from lrnn import Dataset, iter_minibatches, load_dataset
+from lrnn.data import _load_csv, _load_manifest, _normalize_unit_interval
 
 
 class TestLoadIdx:
     def test_zero_images(self, idx_file):
         path = idx_file(np.zeros((3, 28, 28), dtype=np.uint8))
-        d = load_idx(path)
+        d = load_dataset(path, "idx")
         assert d.x.shape == (3, 784)
         assert not d.x.any()
 
     def test_pixel_scaling(self, idx_file):
         img = np.zeros((1, 2, 2), dtype=np.uint8)
         img[0] = [[0, 51], [102, 255]]
-        d = load_idx(idx_file(img))
+        d = load_dataset(idx_file(img), "idx")
         np.testing.assert_allclose(d.x, [[0.0, 0.2, 0.4, 1.0]])
 
     def test_bad_magic(self, tmp_path):
         bad = tmp_path / "bad.idx"
         bad.write_bytes(b"\x00\x00\x08\x01" + b"\x00" * 12)
         with pytest.raises(ValueError, match="magic"):
-            load_idx(bad)
+            load_dataset(bad, "idx")
 
     def test_truncated(self, idx_file):
         path = idx_file(np.zeros((4, 5, 5), dtype=np.uint8))
         path.write_bytes(path.read_bytes()[:-10])
         with pytest.raises(ValueError, match="truncated"):
-            load_idx(path)
+            load_dataset(path, "idx")
 
     def test_deterministic(self, idx_file):
         rng = np.random.default_rng(0)
         path = idx_file(rng.integers(0, 256, (5, 4, 4)).astype(np.uint8))
-        np.testing.assert_array_equal(load_idx(path).x, load_idx(path).x)
+        np.testing.assert_array_equal(load_dataset(path, "idx").x, load_dataset(path, "idx").x)
 
 
 class TestLoadCifar10:
     def test_single_record_full_intensity(self, cifar_file):
         path = cifar_file([7], np.full((1, 3072), 255))
-        d = load_cifar10(path)
+        d = load_dataset(path, "cifar")
         assert d.x.shape == (1, 3072)
         assert (d.x == 1.0).all()
 
@@ -60,7 +51,7 @@ class TestLoadCifar10:
         rng = np.random.default_rng(1)
         p1 = cifar_file(rng.integers(0, 10, 4), rng.integers(0, 256, (4, 3072)), "b1.bin")
         p2 = cifar_file(rng.integers(0, 10, 3), rng.integers(0, 256, (3, 3072)), "b2.bin")
-        d = load_cifar10([p1, p2])
+        d = load_dataset([p1, p2], "cifar")
         assert d.x.shape == (7, 3072)
         assert d.x.max() <= 1.0
 
@@ -68,89 +59,89 @@ class TestLoadCifar10:
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"\x00" * 5000)
         with pytest.raises(ValueError, match="multiple of 3073"):
-            load_cifar10(bad)
+            load_dataset(bad, "cifar")
 
 
 class TestLoadCsv:
     def test_minimal_parse(self, tmp_path):
         f = tmp_path / "t.csv"
         f.write_text("0.1,0.2\n")
-        d = load_csv(f)
-        np.testing.assert_allclose(d.x, [[0.1, 0.2]])
+        x = _load_csv(f)
+        np.testing.assert_allclose(x, [[0.1, 0.2]])
 
     def test_header_and_label_column(self, tmp_path):
         f = tmp_path / "t.csv"
         f.write_text("a,b,class\n1,2,setosa\n3,4,versicolor\n")
-        d = load_csv(f, has_header=True, label_column=2)
-        np.testing.assert_allclose(d.x, [[1, 2], [3, 4]])
+        x = _load_csv(f, has_header=True, label_column=2)
+        np.testing.assert_allclose(x, [[1, 2], [3, 4]])
 
     def test_negative_label_column(self, tmp_path):
         f = tmp_path / "t.csv"
         f.write_text("1,2,x\n3,4,y\n")
-        d = load_csv(f, label_column=-1)
-        np.testing.assert_allclose(d.x, [[1, 2], [3, 4]])
+        x = _load_csv(f, label_column=-1)
+        np.testing.assert_allclose(x, [[1, 2], [3, 4]])
 
     def test_ragged_rows(self, tmp_path):
         f = tmp_path / "t.csv"
         f.write_text("1,2\n3,4,5\n")
         with pytest.raises(ValueError, match="ragged"):
-            load_csv(f)
+            load_dataset(f)
 
     def test_non_numeric_cell(self, tmp_path):
         f = tmp_path / "t.csv"
         f.write_text("1,2\n3,oops\n")
         with pytest.raises(ValueError, match="non-numeric"):
-            load_csv(f)
+            load_dataset(f)
 
     def test_missing_values_imputed_with_column_mean(self, tmp_path):
         f = tmp_path / "t.csv"
         f.write_text("1,10\n?,20\n3,\n")
-        d = load_csv(f)
-        np.testing.assert_allclose(d.x, [[1, 10], [2, 20], [3, 15]])
+        x = _load_csv(f)
+        np.testing.assert_allclose(x, [[1, 10], [2, 20], [3, 15]])
 
     @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "NaN", "Infinity", "1e999"])
     def test_non_finite_cell_rejected(self, tmp_path, cell):
         f = tmp_path / "t.csv"
         f.write_text(f"1,2,3\n\n4,5,6\n7,{cell},9\n")
         with pytest.raises(ValueError, match=r"t\.csv:4: non-finite cell .* in column 1"):
-            load_csv(f)
+            load_dataset(f)
 
     def test_missing_cells_imputed_after_label_drop(self, tmp_path):
         f = tmp_path / "t.csv"
         f.write_text("a,b,label\n1,?,x\n3,4,y\n,8,z\n")
-        d = load_csv(f, has_header=True, label_column=-1)
-        np.testing.assert_allclose(d.x, [[1, 6], [3, 4], [2, 8]])
+        x = _load_csv(f, has_header=True, label_column=-1)
+        np.testing.assert_allclose(x, [[1, 6], [3, 4], [2, 8]])
 
     def test_all_missing_column_rejected(self, tmp_path):
         f = tmp_path / "t.csv"
         f.write_text("?,1\n?,2\n")
         with pytest.raises(ValueError, match="no values"):
-            load_csv(f)
+            load_dataset(f)
 
     def test_alternate_delimiter(self, tmp_path):
         f = tmp_path / "t.tsv"
         f.write_text("1\t2\n3\t4\n")
-        d = load_csv(f, delimiter="\t")
+        d = load_dataset(f, "csv", delimiter="\t")
         assert d.x.shape == (2, 2)
 
 
 class TestNormalize:
     def test_affine_endpoints(self):
-        d = Dataset(np.array([[2.0], [4.0], [6.0]]), "t")
-        np.testing.assert_allclose(normalize_unit_interval(d).x, [[0.0], [0.5], [1.0]])
+        x = np.array([[2.0], [4.0], [6.0]])
+        np.testing.assert_allclose(_normalize_unit_interval(x), [[0.0], [0.5], [1.0]])
 
     def test_constant_column_maps_to_zero(self):
-        d = Dataset(np.array([[5.0], [5.0]]), "t")
-        np.testing.assert_array_equal(normalize_unit_interval(d).x, [[0.0], [0.0]])
+        x = np.array([[5.0], [5.0]])
+        np.testing.assert_array_equal(_normalize_unit_interval(x), [[0.0], [0.0]])
 
     def test_already_unit_interval_unchanged(self):
         x = np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.25]])
-        np.testing.assert_allclose(normalize_unit_interval(Dataset(x, "t")).x, x)
+        np.testing.assert_allclose(_normalize_unit_interval(x), x)
 
     def test_output_always_in_unit_interval(self):
         rng = np.random.default_rng(2)
         x = rng.normal(3.0, 10.0, (30, 5))
-        out = normalize_unit_interval(Dataset(x, "t")).x
+        out = _normalize_unit_interval(x)
         assert out.min() >= 0.0
         assert out.max() <= 1.0
 
@@ -186,7 +177,7 @@ class TestIterMinibatches:
         assert not np.array_equal(e1, e2)
 
     def test_accepts_dataset(self):
-        d = Dataset(np.ones((4, 2)), "t")
+        d = Dataset(np.ones((4, 2)))
         assert len(list(iter_minibatches(d, 2))) == 2
 
     def test_bad_batch_size(self):
@@ -196,21 +187,21 @@ class TestIterMinibatches:
 
 class TestManifest:
     def test_round_trip(self, dataset_manifest):
-        entries = load_manifest(dataset_manifest)
+        entries = _load_manifest(dataset_manifest)
         assert "iris" in entries and "wine" in entries
-        iris = load_manifest_entry(dataset_manifest, "iris")
+        iris = load_dataset(dataset_manifest, name="iris")
         assert (iris.instance_count, iris.attribute_count) == (150, 4)
         assert iris.x.min() >= 0.0 and iris.x.max() <= 1.0
 
     def test_unknown_name(self, dataset_manifest):
         with pytest.raises(ValueError, match="not in manifest"):
-            load_manifest_entry(dataset_manifest, "nope")
+            load_dataset(dataset_manifest, name="nope")
 
     def test_malformed_manifest(self, tmp_path):
         bad = tmp_path / "m.json"
         bad.write_text('{"x": {"path": "f.csv"}}')
         with pytest.raises(ValueError, match="format"):
-            load_manifest(bad)
+            load_dataset(bad)
 
     def test_load_dataset_dispatch(self, idx_file):
         path = idx_file(np.zeros((2, 3, 3), dtype=np.uint8))

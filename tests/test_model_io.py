@@ -1,5 +1,7 @@
 """Text model files: exact round trips and validation on load."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,39 @@ class TestRoundTrip:
         save_model(model, p1)
         save_model(model, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+#: (name, file body after the LRNN1 tag, message) of load errors; a parser
+#: rewrite keeps each message.
+LOAD_ERRORS = [
+    ("row with too many values", "depth 1\ndims 1 1\nW 1 1 1\n0.5 0.5\n",
+     "block W 1 row 0 has 2 values, expected 1"),
+    ("row with too few values", "depth 1\ndims 2 1\nW 1 2 1\n0.5\n0.5\nWB 1 1 2\n0.5\n",
+     "block WB 1 row 0 has 1 values, expected 2"),
+    ("non-numeric value", "depth 1\ndims 1 1\nW 1 1 1\nhalf\n",
+     "could not convert string to float: 'half'"),
+    ("malformed depth line", "deep 1\ndims 1 1\n", "malformed depth line 'deep 1'"),
+    ("depth line without a value", "depth\ndims 1 1\n", "malformed depth line 'depth'"),
+    ("depth 0", "depth 0\ndims 1\n", "depth must be >= 1, got 0"),
+    ("dims line too short", "depth 1\ndims 1\n", "dims line must list 2 sizes"),
+    ("dims line too long", "depth 1\ndims 1 1 1\n", "dims line must list 2 sizes"),
+    ("dims line with the wrong keyword", "depth 1\nsizes 1 1\n", "dims line must list 2 sizes"),
+    ("wrong block marker", "depth 1\ndims 1 1\nWB 1 1 1\n0.5\n",
+     "expected block 'W 1 1 1', got 'WB 1 1 1'"),
+    ("wrong block index", "depth 1\ndims 1 1\nW 2 1 1\n0.5\n",
+     "expected block 'W 1 1 1', got 'W 2 1 1'"),
+    ("block header too short", "depth 1\ndims 1 1\nW 1 1\n0.5\n",
+     "expected block 'W 1 1 1', got 'W 1 1'"),
+]
+
+
+@pytest.mark.parametrize("body, message", [c[1:] for c in LOAD_ERRORS],
+                         ids=[c[0] for c in LOAD_ERRORS])
+def test_load_error_message(tmp_path, body, message):
+    f = tmp_path / "m.lrnn"
+    f.write_text("LRNN1\n" + body)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_model(f)
 
 
 class TestLoadValidation:

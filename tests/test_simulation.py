@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import gillespie_run, new_state, routing_lists, step_event
+from oracles import gillespie_run, new_state, routing_lists, run_ensemble, step_event
 from lrnn import (
     DeadNetworkError,
     LrnnModel,
@@ -17,7 +17,6 @@ from lrnn import (
     forward,
     init_weights,
     run,
-    run_ensemble,
     train,
     TrainConfig,
 )
@@ -108,13 +107,14 @@ class TestStepEvent:
         # probability 1/3 and a firing with probability 2/3
         net = SimNetwork([1], [], [0.5], ["visual"])
         counts = {"arrival": 0, "fire": 0}
+        state = new_state(net, seed=0)  # one stream of draws serves every trial
         for trial in range(100_000):
-            state = new_state(net, seed=trial)
             state.potentials[0] = 1
-            state.active = [0]
-            state.active_pos = [0]
+            state.active[:] = [0]
+            state.active_pos[0] = 0
+            arrivals = state.arrival_count
             step_event(net, state)
-            counts["arrival" if state.arrival_count else "fire"] += 1
+            counts["arrival" if state.arrival_count > arrivals else "fire"] += 1
         freq = counts["arrival"] / 100_000
         # chi-square against (1/3, 2/3) at df=1: crit 6.63 at p=0.01
         expected = np.array([1 / 3, 2 / 3]) * 100_000
