@@ -26,7 +26,7 @@ import sys
 
 from . import data as data_mod
 from .model import LrnnModel, dataset_error, forward
-from .model_io import load_model, save_model
+from .model_io import _format_rows, load_model, save_model
 from .simulation import DeadNetworkError, QEstimate, compare, compile_sim, run
 from .training import TrainConfig, _encode_dims, train
 
@@ -186,8 +186,7 @@ def cmd_eval(args) -> None:
         with open(args.dump, "w") as f:
             for start in range(0, dataset.instance_count, 4096):
                 recon = forward(model, dataset.x[start : start + 4096]).output
-                for row in recon:
-                    f.write(",".join(f"{v:.17g}" for v in row) + "\n")
+                f.writelines(line + "\n" for line in _format_rows(recon, ","))
     print(f"reconstruction error: {err:.17g}")
 
 

@@ -95,7 +95,62 @@ def _load_csv(
     dropped before numeric conversion, so non-numeric class labels are fine.
     Missing cells (empty or ``?``) are imputed with their column mean;
     cells reading as NaN or +-inf raise ``ValueError`` naming line and column.
+
+    A clean table is parsed in bulk by :func:`_parse_bulk`; any other
+    table goes through the line scan :func:`_scan_csv`, which gives the
+    same values bit for bit, imputes missing cells and words every error.
     """
+    x = _parse_bulk(path, delimiter, has_header, label_column)
+    return _scan_csv(path, delimiter, has_header, label_column) if x is None else x
+
+
+def _parse_bulk(
+    path, delimiter: str, has_header: bool, label_column: int | None
+) -> np.ndarray | None:
+    """The table in one ``np.loadtxt`` call, or None where the line scan must decide.
+
+    The file is opened as the scan opens it, so both see the same lines.
+    Leading blank lines and the header are consumed here, because
+    ``skiprows`` would count a blank line as the header.  Quotes go to the
+    scan, since ``csv`` unquotes them and ``loadtxt`` does not.  With a
+    label column ``usecols`` would accept a row that is too long, or too
+    short when the label is last, so every row's width is checked first.
+    ``loadtxt`` itself refuses missing cells, ragged rows and what only
+    ``float`` reads (``1_0``); a non-finite value also returns None.
+    """
+    if len(delimiter) != 1 or delimiter in '"\r\n':
+        return None
+    try:
+        with open(path, newline="") as f:
+            header = has_header
+            while True:
+                start = f.tell()
+                line = f.readline()
+                if not line or '"' in line:
+                    return None
+                if line.replace(delimiter, "").strip():  # the scan skips rows of blank cells
+                    if not header:
+                        break
+                    header = False
+            f.seek(start)
+            width = line.count(delimiter) + 1
+            usecols = None
+            if label_column is not None:
+                label = label_column + width if label_column < 0 else label_column
+                if width == 1 or not 0 <= label < width:
+                    return None
+                if any('"' in row or row.count(delimiter) != width - 1 for row in f if row.strip()):
+                    return None
+                f.seek(start)
+                usecols = [c for c in range(width) if c != label]
+            x = np.loadtxt(f, delimiter=delimiter, comments=None, usecols=usecols, ndmin=2)
+    except ValueError:  # a parse or decode error, which the scan words
+        return None
+    return x if np.isfinite(x).all() else None
+
+
+def _scan_csv(path, delimiter: str, has_header: bool, label_column: int | None) -> np.ndarray:
+    """:func:`_load_csv` one cell at a time, naming the line and column of any error."""
     path = Path(path)
     rows: list[list[float]] = []
     line_nos = array("q")  # file line of each data row, 8 bytes apiece
@@ -163,9 +218,8 @@ def _normalize_unit_interval(x: np.ndarray) -> np.ndarray:
     """Linearly map each column onto [0, 1]; constant columns map to 0."""
     mins = x.min(axis=0)
     spans = x.max(axis=0) - mins
-    out = np.zeros_like(x)
-    nonconst = spans > 0.0
-    out[:, nonconst] = (x[:, nonconst] - mins[nonconst]) / spans[nonconst]
+    out = x - mins  # exactly 0 in a constant column, so dividing it by 1 keeps 0
+    out /= np.where(spans > 0.0, spans, 1.0)
     return out
 
 

@@ -19,6 +19,7 @@ Loading re-checks the declared shapes and the RNN constraints.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -27,8 +28,11 @@ from .model import LrnnModel, reject_violations, validate_constraints
 FORMAT_TAG = "LRNN1"
 
 
-def _format_row(row: np.ndarray) -> str:
-    return " ".join(f"{v:.17g}" for v in row)
+def _format_rows(w: np.ndarray, sep: str = " ") -> Iterator[str]:
+    """Each row of ``w`` as text, every value written as ``f"{v:.17g}"`` writes it."""
+    row_format = sep.join(["%.17g"] * w.shape[1])
+    for row in w:
+        yield row_format % tuple(row.tolist())
 
 
 def save_model(model: LrnnModel, path) -> None:
@@ -38,7 +42,7 @@ def save_model(model: LrnnModel, path) -> None:
     for marker, chain in (("W", model.encode_weights), ("WB", model.decode_weights)):
         for m, w in enumerate(chain, start=1):
             lines.append(f"{marker} {m} {w.shape[0]} {w.shape[1]}")
-            lines.extend(_format_row(row) for row in w)
+            lines.extend(_format_rows(w))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -73,6 +77,20 @@ def _read_block(r: _Reader, marker: str, m: int, rows: int, cols: int) -> np.nda
             f"{r.path}: block {marker} {m} declares {parts[2]}x{parts[3]}, "
             f"dims require {rows}x{cols}"
         )
+    start = r.pos
+    lines = [r.next_line_or_none() for _ in range(rows)]
+    if rows and None not in lines:
+        # One parse of the block.  A value loadtxt accepts is one that float
+        # reads alike, so only the spacing can differ: a double space, a tab
+        # between values, a ragged row or ``1_0`` make it refuse or return
+        # another shape, and the row-by-row read below decides and words it.
+        try:
+            w = np.loadtxt(lines, delimiter=" ", comments=None, ndmin=2)
+        except ValueError:
+            w = None
+        if w is not None and w.shape == (rows, cols):
+            return w
+    r.pos = start
     w = np.empty((rows, cols))
     for i in range(rows):
         values = r.next_line(f"row {i} of block {marker} {m}").split()

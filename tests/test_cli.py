@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lrnn import load_model, validate_constraints
+from lrnn import LrnnModel, load_model, save_model, validate_constraints
 from lrnn.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 
 
@@ -207,6 +207,24 @@ class TestEval:
         other.write_text("1,2\n3,4\n")
         code = main(["eval", "--model", str(model_path), "--data", str(other), "--format", "csv"])
         assert code == EXIT_DATA
+
+    def test_dump_writes_17_significant_digits(self, tmp_path):
+        """An identity model returns its input, so the dump shows awkward values as written."""
+        awkward = [1.0 / 3.0, float(np.nextafter(0.5, 1.0)), 2**-40, 0.0, 1.0]
+        # every column spans [0, 1], so column normalization leaves it as is
+        x = np.array([awkward, [0, 0, 0, 1, 0], [1, 1, 1, 0, 0]], dtype=float)
+        data = tmp_path / "x.csv"
+        data.write_text("\n".join(",".join(repr(v) for v in row) for row in x.tolist()) + "\n")
+        model_path = tmp_path / "identity.lrnn"
+        save_model(LrnnModel([np.eye(5)], [np.eye(5)]), model_path)
+        dump = tmp_path / "recon.csv"
+        args = ["eval", "--model", str(model_path), "--data", str(data), "--dump", str(dump)]
+        assert main(args) == EXIT_OK
+        expected = "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in x.tolist())
+        assert dump.read_bytes() == expected.encode()
+        assert dump.read_text().splitlines()[0] == (
+            "0.33333333333333331,0.50000000000000011,9.0949470177292824e-13,0,1"
+        )
 
 
 class TestSimulate:

@@ -1,12 +1,16 @@
 """Container parsing, normalization and minibatch iteration."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrnn import Dataset, iter_minibatches, load_dataset
-from lrnn.data import _load_csv, _load_manifest, _normalize_unit_interval
+from lrnn.data import _load_csv, _load_manifest, _normalize_unit_interval, _parse_bulk, _scan_csv
 
 
 class TestLoadIdx:
@@ -123,6 +127,106 @@ class TestLoadCsv:
         f.write_text("1\t2\n3\t4\n")
         d = load_dataset(f, "csv", delimiter="\t")
         assert d.x.shape == (2, 2)
+
+
+class TestLoadCsvTraps:
+    """Tables a plain ``np.loadtxt`` call reads differently from the line scan."""
+
+    def write(self, tmp_path, text):
+        f = tmp_path / "t.csv"
+        f.write_text(text)
+        return f
+
+    def test_too_long_row_with_label_column(self, tmp_path):
+        f = self.write(tmp_path, "1,2,a\n3,4,b,5\n")
+        with pytest.raises(ValueError, match=r"t\.csv:2: ragged row of width 3, expected 2"):
+            _load_csv(f, label_column=2)
+
+    def test_too_short_row_with_last_label_column(self, tmp_path):
+        f = self.write(tmp_path, "1,2,a\n3,4\n")
+        with pytest.raises(ValueError, match=r"t\.csv:2: ragged row of width 1, expected 2"):
+            _load_csv(f, label_column=-1)
+
+    def test_header_after_leading_blank_line(self, tmp_path):
+        f = self.write(tmp_path, "\n10,20\n1,2\n3,4\n")
+        np.testing.assert_array_equal(_load_csv(f, has_header=True), [[1, 2], [3, 4]])
+
+    def test_quoted_blank_line_before_header(self, tmp_path):
+        f = self.write(tmp_path, '""\n10,20\n1,2\n')
+        np.testing.assert_array_equal(_load_csv(f, has_header=True), [[1, 2]])
+
+    def test_hash_cell_is_non_numeric(self, tmp_path):
+        f = self.write(tmp_path, "1,2\n#3,4\n")
+        with pytest.raises(ValueError, match=r"t\.csv:2: non-numeric cell '#3' in column 0"):
+            _load_csv(f)
+
+    def test_whitespace_only_line_skipped(self, tmp_path):
+        f = self.write(tmp_path, "1,2\n  \t \n3,4\n")
+        np.testing.assert_array_equal(_load_csv(f), [[1, 2], [3, 4]])
+
+    def test_underscore_digits_parse_as_python_float(self, tmp_path):
+        f = self.write(tmp_path, "1_0,2\n3,4\n")
+        np.testing.assert_array_equal(_load_csv(f), [[10, 2], [3, 4]])
+
+    def test_clean_table_takes_the_bulk_path(self, tmp_path):
+        f = self.write(tmp_path, "h,label,g\n\n0.5,x,1e-3\r\n2,y,-0\n")
+        x = _parse_bulk(f, ",", True, 1)
+        assert x is not None
+        np.testing.assert_array_equal(x, [[0.5, 1e-3], [2.0, -0.0]])
+        assert _parse_bulk(f, ",", True, None) is None  # the label column is not numeric
+
+
+_NUMBER = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.integers(-99, 99).map(str)
+_ODD_CELL = st.sampled_from(
+    ["?", "", "nan", "inf", "-inf", "1e999", '"0.25"', '"1,5"', " 3 ", "\t4", "1_0", "#2", "x"]
+)
+
+
+@st.composite
+def _csv_tables(draw):
+    """(text, delimiter, has_header, label_column) of a small table, sometimes malformed."""
+    delimiter = draw(st.sampled_from([",", ";", "\t"]))
+    width = draw(st.integers(1, 4))
+    clean = draw(st.booleans())
+    cell = _NUMBER if clean else st.one_of(_NUMBER, _NUMBER, _ODD_CELL)
+    widths = st.just(width) if clean else st.sampled_from([width] * 6 + [width - 1, width + 1])
+    lines = []
+    for _ in range(draw(st.integers(0, 4))):
+        row = [draw(cell) for _ in range(draw(widths))]
+        if draw(st.booleans()):
+            row = [f" {c} " for c in row]
+        lines.append(delimiter.join(row))
+    if draw(st.booleans()):
+        lines.insert(0, delimiter.join(f"h{i}" for i in range(width)))
+    odd_blanks = ["", " ", "\t", delimiter, " " + delimiter, '""']
+    blanks = st.just("") if clean else st.sampled_from(odd_blanks)
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(blanks))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines) + draw(st.sampled_from(["", newline]))
+    lo, hi = (-width, width - 1) if clean else (-width - 1, width)
+    label = draw(st.none() | st.integers(lo, hi))
+    return text, delimiter, draw(st.booleans()), label
+
+
+def _outcome(parse, *args):
+    try:
+        x = parse(*args)
+    except ValueError as e:
+        return "error", str(e)
+    return x.shape, x.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(table=_csv_tables())
+def test_bulk_parse_matches_line_scan(table):
+    """``_load_csv`` gives the scan's float64 bits, or the scan's error message."""
+    text, delimiter, has_header, label = table
+    with tempfile.TemporaryDirectory() as tmp:
+        f = Path(tmp) / "t.csv"
+        f.write_bytes(text.encode())
+        args = (f, delimiter, has_header, label)
+        assert _outcome(_load_csv, *args) == _outcome(_scan_csv, *args)
 
 
 class TestNormalize:

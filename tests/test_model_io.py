@@ -39,6 +39,60 @@ class TestRoundTrip:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+#: An LRNN1 file written by hand: 17 significant digits, shortest form
+#: for exact values, one space between values and a final newline.
+GOLDEN_TEXT = """LRNN1
+depth 1
+dims 2 2
+W 1 2 2
+0.33333333333333331 0.5
+0.50000000000000011 9.0949470177292824e-13
+WB 1 2 2
+0 1
+0.10000000000000001 0.20000000000000001
+"""
+
+
+class TestGoldenFile:
+    def golden_model(self):
+        w = np.array([[1.0 / 3.0, 0.5], [np.nextafter(0.5, 1.0), 2**-40]])
+        wb = np.array([[0.0, 1.0], [0.1, 0.2]])
+        return LrnnModel([w], [wb])
+
+    def test_save_writes_the_golden_text(self, tmp_path):
+        path = tmp_path / "m.lrnn"
+        save_model(self.golden_model(), path)
+        assert path.read_text() == GOLDEN_TEXT
+
+    def test_golden_text_loads_bit_exact(self, tmp_path):
+        path = tmp_path / "m.lrnn"
+        path.write_text(GOLDEN_TEXT)
+        loaded, model = load_model(path), self.golden_model()
+        for a, b in zip(loaded.encode_weights + loaded.decode_weights,
+                        model.encode_weights + model.decode_weights):
+            np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    def test_blank_lines_and_extra_whitespace_load(self, tmp_path):
+        path = tmp_path / "m.lrnn"
+        path.write_text(
+            "LRNN1\n\ndepth 1  \ndims 2 1\n\nW 1 2 1\n0.5   \n\n  0.25\n"
+            "WB 1 1 2\n\n0.125  \t0.75 \n\n"
+        )
+        model = load_model(path)
+        np.testing.assert_array_equal(model.encode_weights[0], [[0.5], [0.25]])
+        np.testing.assert_array_equal(model.decode_weights[0], [[0.125, 0.75]])
+
+    @pytest.mark.parametrize(
+        "rows", ["0.1 0.2 0.3\n0.4\n", "0.1\t0.2 0.3\n0.4 \n"], ids=["spaces", "tab"]
+    )
+    def test_rows_of_uneven_width_refused(self, tmp_path, rows):
+        """A block holding the right number of values is still read row by row."""
+        path = tmp_path / "m.lrnn"
+        path.write_text("LRNN1\ndepth 1\ndims 2 2\nW 1 2 2\n" + rows)
+        with pytest.raises(ValueError, match="block W 1 row 0 has 3 values, expected 2"):
+            load_model(path)
+
+
 #: (name, file body after the LRNN1 tag, message) of load errors; a parser
 #: rewrite keeps each message.
 LOAD_ERRORS = [
