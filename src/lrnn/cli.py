@@ -25,7 +25,7 @@ import os
 import sys
 
 from . import data as data_mod
-from .model import LrnnModel, dataset_error, forward
+from .model import CHUNK_ROWS, LrnnModel, dataset_error, forward
 from .model_io import _format_rows, load_model, save_model
 from .simulation import DeadNetworkError, QEstimate, compare, compile_sim, run
 from .training import TrainConfig, _encode_dims, train
@@ -153,10 +153,10 @@ def cmd_train(args) -> None:
 
         def observer(iteration, _err, model):
             if iteration % every == 0:
-                full_rows[iteration] = dataset_error(model, dataset.x)
+                full_rows[iteration] = dataset_error(model, dataset)
 
     algo = "greedy" if args.algo == "greedy" else "joint"  # shallow is joint at depth 1
-    model, report = train(dataset.x, dims, cfg, algo, observer)
+    model, report = train(dataset, dims, cfg, algo, observer)
     save_model(model, args.out)
     if args.curve:
         tagged = bool(args.full_error_every)
@@ -181,11 +181,11 @@ def _load_model_and_data(args) -> tuple[LrnnModel, data_mod.Dataset]:
 
 def cmd_eval(args) -> None:
     model, dataset = _load_model_and_data(args)
-    err = dataset_error(model, dataset.x)
+    err = dataset_error(model, dataset)
     if args.dump:
         with open(args.dump, "w") as f:
-            for start in range(0, dataset.instance_count, 4096):
-                recon = forward(model, dataset.x[start : start + 4096]).output
+            for chunk in data_mod.iter_minibatches(dataset, CHUNK_ROWS):
+                recon = forward(model, chunk).output
                 f.writelines(line + "\n" for line in _format_rows(recon, ","))
     print(f"reconstruction error: {err:.17g}")
 
@@ -202,7 +202,7 @@ def cmd_simulate(args) -> None:
             f"--index {args.index} out of range "
             f"(dataset has {dataset.instance_count} instances)"
         )
-    instance = dataset.x[args.index]
+    instance = dataset.rows(args.index)
     numeric = forward(model, instance.reshape(1, -1))
     net = compile_sim(model, instance)
     try:

@@ -2,13 +2,16 @@
 
 :func:`load_dataset` is the one entry point: it reads any supported
 container and returns a :class:`Dataset` whose values lie in [0, 1].
-Its formats:
+Image pixels are held as the uint8 bytes they were read into and scaled
+by 1/255 only as rows are read, so a pixel dataset takes one byte per
+value.  Its formats:
 
 - ``idx``: IDX image files (big endian): i32 magic 0x00000803 | i32 count |
-  i32 rows | i32 cols | u8 pixels, row-wise.  Pixels are scaled by 1/255.
+  i32 rows | i32 cols | u8 pixels, row-wise.  Pixels are held as uint8,
+  scaled as rows are read.
 - ``cifar``: CIFAR-10 binary batches: 3073-byte records, 1 label byte
   followed by 1024 R + 1024 G + 1024 B pixel bytes.  Labels are discarded,
-  pixels scaled by 1/255.
+  pixels held as uint8, scaled as rows are read.
 - ``csv``: delimiter-separated numeric tables (UCI-style), optionally with
   a header row and a label column to drop.  ``?`` or empty cells are
   treated as missing and imputed with the column mean; ``nan`` and
@@ -35,23 +38,87 @@ CIFAR_RECORD_BYTES = 3073  # 1 label byte + 3 * 1024 pixel bytes
 _MISSING_CELLS = {"", "?"}
 
 
+def _as_2d(a, name: str) -> np.ndarray:
+    m = np.ascontiguousarray(a, dtype=np.float64)
+    if m.ndim != 2:
+        raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
+    return m
+
+
+def as_matrix(a, name: str = "matrix") -> np.ndarray:
+    """Coerce ``a`` to a C-contiguous 2-D float64 array of finite nonnegative entries."""
+    m = _as_2d(a, name)
+    if m.size:
+        # min and max propagate NaN and allocate nothing the size of the data
+        lo, hi = float(m.min()), float(m.max())
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise ValueError(f"{name} has NaN or infinite entries")
+        if lo < 0.0:
+            raise ValueError(f"{name} must be nonnegative")
+    return m
+
+
 @dataclass(frozen=True)
 class Dataset:
-    """An in-memory instances-by-attributes matrix."""
+    """An instances-by-attributes matrix, held as loaded and read by rows.
 
-    x: np.ndarray
+    ``values`` is either a 2-D uint8 array of pixels, which stand for
+    ``pixel / 255``, or anything :func:`as_matrix` accepts, which is held
+    as its C-contiguous float64 matrix; NaN, infinite or negative entries
+    are refused on construction.  :meth:`rows` reads rows as float64, so
+    pixels become floats one minibatch or chunk at a time and never as a
+    whole-dataset matrix.
+    """
+
+    values: np.ndarray
+
+    def __post_init__(self) -> None:
+        v = self.values
+        if isinstance(v, np.ndarray) and v.dtype == np.uint8:
+            if v.ndim != 2:
+                raise ValueError(f"x must be 2-D, got shape {v.shape}")
+        else:
+            object.__setattr__(self, "values", as_matrix(v, "x"))
 
     @property
     def instance_count(self) -> int:
-        return self.x.shape[0]
+        return self.values.shape[0]
 
     @property
     def attribute_count(self) -> int:
-        return self.x.shape[1]
+        return self.values.shape[1]
+
+    def rows(self, index) -> np.ndarray:
+        """The rows ``index`` (an int, a slice or an index array) as float64.
+
+        Pixels are converted as ``astype(float64) / 255.0``, the same bits
+        as scaling the whole matrix at once.  A float64 matrix is indexed
+        as it is, so a slice of it is a view.
+        """
+        r = self.values[index]
+        if r.dtype != np.uint8:
+            return r
+        r = r.astype(np.float64)
+        r /= 255.0
+        return r
+
+    @property
+    def x(self) -> np.ndarray:
+        """The whole matrix as float64, read anew on every access (a copy for pixels)."""
+        return self.rows(slice(None))
+
+
+def _as_dataset(x) -> Dataset:
+    """``x`` itself if it is a :class:`Dataset`, else the matrix ``x`` as one.
+
+    The matrix is made float64 first, so a uint8 array's entries are taken
+    as the numbers they are, not as pixels.
+    """
+    return x if isinstance(x, Dataset) else Dataset(_as_2d(x, "x"))
 
 
 def _load_idx(images_path) -> np.ndarray:
-    """Read an IDX3 image file into a (count, rows*cols) matrix scaled to [0, 1]."""
+    """Read an IDX3 image file into a (count, rows*cols) uint8 pixel matrix."""
     path = Path(images_path)
     raw = path.read_bytes()
     if len(raw) < 16:
@@ -63,11 +130,12 @@ def _load_idx(images_path) -> np.ndarray:
     if len(raw) < expected:
         raise ValueError(f"{path}: truncated IDX file, {len(raw)} bytes < {expected}")
     pixels = np.frombuffer(raw, dtype=np.uint8, count=count * rows * cols, offset=16)
-    return pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
+    return pixels.reshape(count, rows * cols)
 
 
 def _load_cifar10(batch_paths: list) -> np.ndarray:
-    """Read and concatenate CIFAR-10 binary batches; labels are dropped."""
+    """Read and concatenate CIFAR-10 binary batches into a uint8 pixel
+    matrix; labels are dropped."""
     if not batch_paths:
         raise ValueError("no CIFAR-10 batch files given")
     parts = []
@@ -80,7 +148,7 @@ def _load_cifar10(batch_paths: list) -> np.ndarray:
             )
         records = np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
         parts.append(records[:, 1:])
-    return np.concatenate(parts, axis=0).astype(np.float64) / 255.0
+    return np.concatenate(parts, axis=0)
 
 
 def _load_csv(
@@ -152,16 +220,16 @@ def _parse_bulk(
 def _scan_csv(path, delimiter: str, has_header: bool, label_column: int | None) -> np.ndarray:
     """:func:`_load_csv` one cell at a time, naming the line and column of any error."""
     path = Path(path)
-    rows: list[list[float]] = []
-    line_nos = array("q")  # file line of each data row, 8 bytes apiece
-    missing: list[tuple[int, int]] = []
+    cells = array("d")  # every data cell, row after row, 8 bytes apiece
+    line_nos = array("q")  # file line of each data row
+    missing = array("q")  # position in ``cells`` of each missing cell
     width: int | None = None
     with open(path, newline="") as f:
         reader = csv.reader(f, delimiter=delimiter)
         for line_no, record in enumerate(reader, start=1):
             if not record or all(cell.strip() == "" for cell in record):
                 continue
-            if has_header and not rows and width is None:
+            if has_header and not line_nos and width is None:
                 width = -1  # header consumed; real width set by first data row
                 continue
             if label_column is not None:
@@ -179,31 +247,29 @@ def _scan_csv(path, delimiter: str, has_header: bool, label_column: int | None) 
                 raise ValueError(
                     f"{path}:{line_no}: ragged row of width {len(record)}, expected {width}"
                 )
-            parsed = []
             for col, cell in enumerate(record):
                 cell = cell.strip()
                 if cell in _MISSING_CELLS:
-                    missing.append((len(rows), col))
-                    parsed.append(0.0)
+                    missing.append(len(cells))
+                    cells.append(0.0)
                     continue
                 try:
-                    parsed.append(float(cell))
+                    cells.append(float(cell))
                 except ValueError:
                     raise ValueError(
                         f"{path}:{line_no}: non-numeric cell {cell!r} in column {col}"
                     ) from None
-            rows.append(parsed)
             line_nos.append(line_no)
-    if not rows:
+    if not line_nos:
         raise ValueError(f"{path}: no data rows")
-    x = np.array(rows, dtype=np.float64)
+    x = np.frombuffer(cells, dtype=np.float64).reshape(len(line_nos), width)
     if not np.isfinite(x).all():
         row, col = np.argwhere(~np.isfinite(x))[0]
         raise ValueError(
             f"{path}:{line_nos[row]}: non-finite cell {float(x[row, col])} in column {col}"
         )
     if missing:
-        x[tuple(np.transpose(missing))] = math.nan
+        x.reshape(-1)[np.asarray(missing)] = math.nan
     nan_cols = np.flatnonzero(np.all(np.isnan(x), axis=0))
     if nan_cols.size:
         raise ValueError(f"{path}: column(s) {nan_cols.tolist()} have no values at all")
@@ -229,22 +295,30 @@ def iter_minibatches(
     seed: int | np.random.Generator | None = None,
     shuffle: bool = False,
 ) -> Iterator[np.ndarray]:
-    """Yield ceil(D / batch_size) row slices covering every instance once.
+    """Yield ceil(D / batch_size) float64 row blocks covering every instance once.
 
-    Without shuffling the slices are contiguous rows in dataset order and
+    Without shuffling the blocks are contiguous rows in dataset order and
     the last batch may be short.  With ``shuffle`` the rows are permuted by
     the seeded generator first; passing a ``Generator`` lets a caller drive
-    distinct permutations across epochs from one stream.
+    distinct permutations across epochs from one stream.  Each block is
+    read on its own, the shuffled ones through their slice of the
+    permutation, so no permuted copy of the dataset is made.  ``d`` is a
+    :class:`Dataset` (read with :meth:`Dataset.rows`) or an array.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    x = d.x if isinstance(d, Dataset) else np.asarray(d, dtype=np.float64)
-    n = x.shape[0]
+    if isinstance(d, Dataset):
+        n, rows = d.instance_count, d.rows
+    else:
+        x = np.asarray(d, dtype=np.float64)
+        n, rows = x.shape[0], x.__getitem__
+    order = None
     if shuffle:
         rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-        x = x[rng.permutation(n)]
+        order = rng.permutation(n)
     for start in range(0, n, batch_size):
-        yield x[start : start + batch_size]
+        stop = start + batch_size
+        yield rows(slice(start, stop) if order is None else order[start:stop])
 
 
 def load_dataset(
@@ -263,10 +337,10 @@ def load_dataset(
     ``csv`` for ``*.csv``, ``cifar`` for a directory or a ``*.bin`` file
     (comma-separated ``*.bin`` files included), and ``idx`` for anything else.
 
-    IDX and CIFAR pixels are scaled by 1/255; CSV tables are
-    column-normalized.  ``fmt="cifar"`` accepts a single file, a directory
-    (all ``*.bin`` files, sorted), a list of files or a string of
-    comma-separated files.  ``fmt="manifest"`` loads entry ``name`` of the
+    IDX and CIFAR pixels are held as uint8 and scaled by 1/255 as rows are
+    read; CSV tables are column-normalized.  ``fmt="cifar"`` accepts a
+    single file, a directory (all ``*.bin`` files, sorted), a list of files
+    or a string of comma-separated files.  ``fmt="manifest"`` loads entry ``name`` of the
     manifest at ``path``, or its only entry when ``name`` is None; the
     entry's own settings replace ``delimiter``, ``has_header`` and
     ``label_column``.

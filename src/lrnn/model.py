@@ -13,29 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _as_2d, _as_dataset, as_matrix, iter_minibatches
+
 #: Slack used when checking row sums against 1, absorbing rounding from
 #: the exact-normalization steps in training.
 ROW_SUM_SLACK = 1e-12
 
-
-def _as_2d(a, name: str) -> np.ndarray:
-    m = np.ascontiguousarray(a, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
-    return m
-
-
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce ``a`` to a C-contiguous 2-D float64 array of finite nonnegative entries."""
-    m = _as_2d(a, name)
-    if m.size:
-        # min and max propagate NaN and allocate nothing the size of the data
-        lo, hi = float(m.min()), float(m.max())
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise ValueError(f"{name} has NaN or infinite entries")
-        if lo < 0.0:
-            raise ValueError(f"{name} must be nonnegative")
-    return m
+#: Rows a whole-dataset pass evaluates at once, bounding its float64 working set.
+CHUNK_ROWS = 4096
 
 
 def clamp_unit(m: np.ndarray) -> np.ndarray:
@@ -157,21 +142,35 @@ def reconstruction_error(x, q_dec_final) -> float:
     return float(np.mean(d * d))
 
 
-def dataset_error(model: LrnnModel, x, chunk_rows: int = 4096) -> float:
+def dataset_error(model: LrnnModel, x, chunk_rows: int = CHUNK_ROWS) -> float:
     """Reconstruction MSE over a whole dataset, evaluated in row chunks.
 
-    Equivalent to ``reconstruction_error(x, forward(model, x).output)`` but
-    does not materialize every layer's activations for the full dataset.
+    ``x`` is a :class:`Dataset` or an array; an array is validated as
+    :func:`forward` validates it.  Equivalent to
+    ``reconstruction_error(x, forward(model, x).output)``, and equal to the
+    bit to summing ``forward``'s squared errors chunk by chunk, but each
+    chunk is read with :meth:`Dataset.rows` and evaluated in place: every
+    layer's product is clamped where it lies and the last one becomes the
+    squared error.  The working set is a few chunk-sized arrays, whatever
+    the size of the dataset.
     """
-    x = _as_2d(x, "x")  # forward validates the entries chunk by chunk
-    if x.shape[0] == 0:
+    d = _as_dataset(x)
+    if d.instance_count == 0:
         raise ValueError("empty dataset")
+    if d.attribute_count != model.visible_dim:
+        raise ValueError(
+            f"input has {d.attribute_count} attributes but model expects {model.visible_dim}"
+        )
     total = 0.0
-    for start in range(0, x.shape[0], chunk_rows):
-        chunk = x[start : start + chunk_rows]
-        d = chunk - forward(model, chunk).output
-        total += float(np.sum(d * d))
-    return total / x.size
+    for chunk in iter_minibatches(d, chunk_rows):
+        q = clamp_unit(chunk)
+        for w in model.encode_weights + model.decode_weights:
+            q = q @ w
+            np.minimum(q, 1.0, out=q)
+        np.subtract(chunk, q, out=q)
+        np.multiply(q, q, out=q)
+        total += float(np.sum(q))
+    return total / (d.instance_count * d.attribute_count)
 
 
 @dataclass(frozen=True)

@@ -51,11 +51,11 @@ from typing import Sequence
 
 import numpy as np
 
+from .data import as_matrix
 from .model import (
     ROW_SUM_SLACK,
     ActivationState,
     LrnnModel,
-    as_matrix,
     reject_violations,
     validate_constraints,
 )

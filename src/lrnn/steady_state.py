@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ROW_SUM_SLACK, LrnnModel, as_matrix, clamp_unit
+from .data import as_matrix
+from .model import ROW_SUM_SLACK, LrnnModel, clamp_unit
 
 #: Consecutive direction reversals of the update before damping kicks in.
 _OSCILLATION_WINDOW = 100

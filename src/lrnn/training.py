@@ -43,8 +43,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import iter_minibatches
-from .model import LrnnModel, as_matrix, clamp_unit, dataset_error, reconstruction_error
+from .data import Dataset, _as_dataset, as_matrix, iter_minibatches
+from .model import CHUNK_ROWS, LrnnModel, clamp_unit, dataset_error, reconstruction_error
 
 #: Replacement for exact-zero denominators (IEEE double machine epsilon).
 EPS_FLOOR = float(np.finfo(np.float64).eps)
@@ -230,7 +230,7 @@ def _pair_step(a, w, wb):
     return w, wb, h
 
 
-def _fit(x, model, first, cfg, curve, observer) -> None:
+def _fit(x: Dataset, model, first, cfg, curve, observer) -> None:
     """The minibatch loop: trains pairs ``first``..depth-1 (0-based) of ``model``
     in place on ``x``, the input of encode layer ``first``; appends to ``curve``.
 
@@ -269,24 +269,31 @@ def _fit(x, model, first, cfg, curve, observer) -> None:
                     return
 
 
+def _code(x: Dataset, w: np.ndarray) -> Dataset:
+    """The clamped activations ``min(x @ w, 1)`` of every row, a chunk of rows at a time."""
+    return Dataset(np.concatenate([clamp_unit(c @ w) for c in iter_minibatches(x, CHUNK_ROWS)]))
+
+
 def train(
     x, dims: Sequence[int], cfg: TrainConfig, algo: str = "joint", observer: Observer | None = None
 ) -> tuple[LrnnModel, TrainReport]:
     """Train an autoencoder with encode dims ``dims`` (V, H1, ..., Hk) on ``x``.
 
-    ``algo`` is ``"joint"`` or ``"greedy"`` (see the module docstring); a
-    greedy run equals depth-1 ``train`` calls chained by hand.  ``observer``
-    gets ``(iteration, batch error, model trained so far)`` after every
-    update; the curve numbers iterations on across greedy stages.
+    ``x`` is a :class:`Dataset` or an array; an array's entries are taken
+    as numbers (a uint8 array too, not as pixels).  ``algo`` is
+    ``"joint"`` or ``"greedy"`` (see the module docstring); a greedy run
+    equals depth-1 ``train`` calls chained by hand.  ``observer`` gets
+    ``(iteration, batch error, model trained so far)`` after every update;
+    the curve numbers iterations on across greedy stages.
     """
     dims = _encode_dims(dims)
     if algo not in ("joint", "greedy"):
         raise ValueError(f"algo must be 'joint' or 'greedy', got {algo!r}")
-    x = as_matrix(x, "x")
-    if x.shape[0] == 0:
+    x = _as_dataset(x)
+    if x.instance_count == 0:
         raise ValueError("empty dataset")
-    if x.shape[1] != dims[0]:
-        raise ValueError(f"dataset has {x.shape[1]} attributes but model expects {dims[0]}")
+    if x.attribute_count != dims[0]:
+        raise ValueError(f"dataset has {x.attribute_count} attributes but model expects {dims[0]}")
     if cfg.max_iterations is None and cfg.max_epochs is None:
         raise ValueError("set max_iterations and/or max_epochs in TrainConfig")
     start = time.perf_counter()
@@ -295,7 +302,7 @@ def train(
     for m, stage_dims in enumerate(stages):
         stage = init_weights(stage_dims, cfg.seed + m)
         if m:  # stack the new pair inside the finished stages
-            x_stage = clamp_unit(x_stage @ model.encode_weights[-1])
+            x_stage = _code(x_stage, model.encode_weights[-1])
             stage = LrnnModel(
                 model.encode_weights + stage.encode_weights,
                 stage.decode_weights + model.decode_weights,

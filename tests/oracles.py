@@ -1,7 +1,8 @@
 """Independent reference computations used by the unit and acceptance tests.
 
 Everything here is written with explicit Python loops over scalars so the
-vectorized library code is checked against a genuinely separate path.
+vectorized library code is checked against a genuinely separate path, or
+keeps a plainer formula that an optimized library routine must equal.
 """
 
 from __future__ import annotations
@@ -12,7 +13,21 @@ from math import log
 
 import numpy as np
 
+from lrnn.model import forward
 from lrnn.simulation import DeadNetworkError, QEstimate, SimNetwork, run
+
+
+def dataset_error_reference(model, x, chunk_rows: int = 4096) -> float:
+    """Whole-dataset MSE as the sum of ``forward``'s squared errors, chunk by
+    chunk: ``dataset_error``, which evaluates the chunks in place, must give
+    these bits."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    total = 0.0
+    for start in range(0, x.shape[0], chunk_rows):
+        chunk = x[start : start + chunk_rows]
+        d = chunk - forward(model, chunk).output
+        total += float(np.sum(d * d))
+    return total / x.size
 
 
 def gram_loops(a) -> list[list[float]]:

@@ -19,6 +19,7 @@ from _pytest.outcomes import Skipped
 import conftest
 from oracles import scalar_update_decode, scalar_update_encode
 from lrnn import (
+    Dataset,
     LrnnModel,
     TrainConfig,
     clamp_unit,
@@ -59,11 +60,11 @@ def criterion(n: int, label: str):
 
 @pytest.fixture(scope="module")
 def mnist_subset():
-    """First 10,000 MNIST training images, normalized by the loader."""
+    """First 10,000 MNIST training images, held as loaded (uint8, scaled on read)."""
     path = conftest.require_mnist_train()
     d = load_dataset(path, "idx")
     assert d.attribute_count == 784
-    return d.x[:10_000]
+    return Dataset(d.values[:10_000])
 
 
 @pytest.fixture(scope="module")
@@ -76,8 +77,8 @@ def mnist_model(mnist_subset):
 def test_criterion_1_mnist_shallow(request):
     with criterion(1, "MNIST shallow 784->100"):
         if full_scale():
-            x = load_dataset(conftest.require_mnist_train(), "idx").x
-            assert x.shape[0] == 60_000
+            x = load_dataset(conftest.require_mnist_train(), "idx")
+            assert x.instance_count == 60_000
             cfg = TrainConfig(batch_size=100, max_iterations=6000, seed=0)
             _, report = train(x, [784, 100], cfg)
             assert report.final_full_error <= 0.025, report.final_full_error
@@ -91,7 +92,7 @@ def test_criterion_1_mnist_shallow(request):
 def test_criterion_2_mnist_multilayer(request):
     with criterion(2, "MNIST greedy multi-layer"):
         if full_scale():
-            x = load_dataset(conftest.require_mnist_train(), "idx").x
+            x = load_dataset(conftest.require_mnist_train(), "idx")
             cfg = TrainConfig(batch_size=100, max_iterations=3000, seed=0)
             _, report = train(x, [784, 1000, 500, 250, 50], cfg, "greedy")
             assert report.final_full_error <= 0.024, report.final_full_error
@@ -107,13 +108,13 @@ def test_criterion_3_cifar_shallow():
     with criterion(3, "CIFAR-10 shallow 3072->150"):
         batches = conftest.require_cifar_batches()
         if full_scale():
-            x = load_dataset(batches, "cifar").x
-            assert x.shape[0] == 60_000
+            x = load_dataset(batches, "cifar")
+            assert x.instance_count == 60_000
             cfg = TrainConfig(batch_size=100, max_iterations=6000, seed=0)
             _, report = train(x, [3072, 150], cfg)
             assert report.final_full_error <= 0.012, report.final_full_error
         else:
-            x = load_dataset(batches[0], "cifar").x[:5000]
+            x = Dataset(load_dataset(batches[0], "cifar").values[:5000])
             cfg = TrainConfig(batch_size=100, max_iterations=600, seed=0)
             _, report = train(x, [3072, 150], cfg)
             assert report.final_full_error <= 0.02, report.final_full_error
@@ -214,7 +215,7 @@ def test_criterion_7b_trained_small_model():
 
 def test_criterion_7c_mnist_image_simulation(request):
     with criterion(7, "simulator: MNIST 784->100->784 image"):
-        instance = request.getfixturevalue("mnist_subset")[0]
+        instance = request.getfixturevalue("mnist_subset").rows(0)
         model, _ = request.getfixturevalue("mnist_model")
         net = compile_sim(model, instance)
         assert net.n_neurons == 1668
@@ -266,8 +267,8 @@ def test_criterion_9_uci_smoke_suite(dataset_manifest):
             v = d.attribute_count
             h = max(1, int(np.floor(v / 2 + 0.5)))
             cfg = TrainConfig(batch_size=50, max_iterations=600, seed=0)
-            initial = dataset_error(init_weights([v, h], cfg.seed), d.x)
-            model, report = train(d.x, [v, h], cfg)
+            initial = dataset_error(init_weights([v, h], cfg.seed), d)
+            model, report = train(d, [v, h], cfg)
             assert validate_constraints(model) == []
             assert report.final_full_error < initial, (
                 name, report.final_full_error, initial,

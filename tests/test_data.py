@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,41 @@ class TestLoadIdx:
         rng = np.random.default_rng(0)
         path = idx_file(rng.integers(0, 256, (5, 4, 4)).astype(np.uint8))
         np.testing.assert_array_equal(load_dataset(path, "idx").x, load_dataset(path, "idx").x)
+
+
+class TestDatasetRows:
+    INDEXES = (slice(None), slice(2, 7), np.array([8, 0, 3, 3]), 4)
+
+    def assert_scaled_on_read(self, d, pixels):
+        assert d.values.dtype == np.uint8  # held as loaded
+        scaled = pixels.astype(np.float64) / 255.0
+        for index in self.INDEXES:
+            rows = d.rows(index)
+            assert rows.dtype == np.float64
+            assert rows.tobytes() == scaled[index].tobytes()
+        assert d.x.tobytes() == scaled.tobytes()
+
+    def test_idx_rows_bit_identical_to_whole_scaling(self, idx_file):
+        img = np.random.default_rng(3).integers(0, 256, (9, 4, 5)).astype(np.uint8)
+        self.assert_scaled_on_read(load_dataset(idx_file(img), "idx"), img.reshape(9, 20))
+
+    def test_cifar_rows_bit_identical_to_whole_scaling(self, cifar_file):
+        rng = np.random.default_rng(4)
+        pixels = rng.integers(0, 256, (9, 3072))
+        d = load_dataset(cifar_file(rng.integers(0, 10, 9), pixels), "cifar")
+        self.assert_scaled_on_read(d, pixels.astype(np.uint8))
+
+    def test_float_rows_are_views(self):
+        d = Dataset(np.arange(12.0).reshape(6, 2))
+        assert np.shares_memory(d.rows(slice(1, 4)), d.values)
+        assert np.shares_memory(d.x, d.values)
+
+    def test_construction_refuses_bad_values(self):
+        for bad in ([[0.5, np.nan]], [[np.inf, 0.0]], [[-0.1, 0.2]], [0.5, 0.2]):
+            with pytest.raises(ValueError):
+                Dataset(np.array(bad))
+        with pytest.raises(ValueError, match="2-D"):
+            Dataset(np.zeros(3, dtype=np.uint8))
 
 
 class TestLoadCifar10:
@@ -287,6 +323,27 @@ class TestIterMinibatches:
     def test_bad_batch_size(self):
         with pytest.raises(ValueError, match="batch_size"):
             list(iter_minibatches(np.ones((3, 1)), 0))
+
+    def test_shuffle_reads_the_dataset_rows_in_permuted_order(self):
+        pixels = np.random.default_rng(5).integers(0, 256, (23, 3)).astype(np.uint8)
+        got = np.vstack(list(iter_minibatches(Dataset(pixels), 4, seed=9, shuffle=True)))
+        x = pixels / 255.0
+        assert got.tobytes() == x[np.random.default_rng(9).permutation(23)].tobytes()
+
+    def test_shuffle_makes_no_dataset_sized_copy(self):
+        """Peak allocation is the permutation and one batch, for 20 MB of rows."""
+        rng = np.random.default_rng(6)
+        pixels = rng.integers(0, 256, (40_000, 64)).astype(np.uint8)
+        floats = pixels / 255.0
+        for d in (Dataset(pixels), Dataset(floats), floats):
+            tracemalloc.start()
+            try:
+                for _ in iter_minibatches(d, 100, seed=0, shuffle=True):
+                    pass
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 40_000 * 8 + 4 * 100 * 64 * 8, type(d)
 
 
 class TestManifest:

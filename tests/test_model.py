@@ -1,5 +1,7 @@
 """Forward-pass mathematics, reconstruction error and constraint checking."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from lrnn import (
+    Dataset,
     LrnnModel,
     clamp_unit,
     dataset_error,
@@ -15,6 +18,7 @@ from lrnn import (
     reconstruction_error,
     validate_constraints,
 )
+from oracles import dataset_error_reference
 
 nonneg_matrices = arrays(
     np.float64,
@@ -145,6 +149,37 @@ class TestReconstructionError:
         x = rng.random((50, 6))
         whole = reconstruction_error(x, forward(model, x).output)
         assert dataset_error(model, x, chunk_rows=7) == pytest.approx(whole, rel=1e-12)
+
+    def test_dataset_error_bit_identical_to_forward_chunks(self):
+        rng = np.random.default_rng(2)
+        pixels = rng.integers(0, 256, (4097, 12)).astype(np.uint8)  # a one-row last chunk
+        floats = pixels / 255.0
+        wide = rng.random((30, 12)) * 1.5  # entries above 1, clamped by the visual layer
+        for dims in ([12, 5], [12, 6, 3]):
+            model = init_weights(dims, seed=3)
+            for x in (Dataset(pixels), Dataset(floats), floats, wide):
+                for chunk_rows in (4096, 7, 1):
+                    rows = x.x if isinstance(x, Dataset) else x
+                    want = dataset_error_reference(model, rows, chunk_rows)
+                    assert dataset_error(model, x, chunk_rows) == want
+
+    def test_dataset_error_refuses_wrong_width(self):
+        with pytest.raises(ValueError, match="attributes"):
+            dataset_error(init_weights([3, 2], seed=0), Dataset(np.zeros((4, 2), np.uint8)))
+
+    def test_dataset_error_working_set_is_a_few_chunks(self):
+        """40,000 x 64 rows are 20 MB as float64; a 4096-row chunk is 2 MB."""
+        pixels = np.random.default_rng(4).integers(0, 256, (40_000, 64)).astype(np.uint8)
+        model = init_weights([64, 32, 16], seed=0)
+        chunk_bytes = 4096 * 64 * 8
+        for x in (Dataset(pixels), pixels / 255.0):
+            tracemalloc.start()
+            try:
+                dataset_error(model, x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * chunk_bytes, type(x)
 
 
 class TestValidateConstraints:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lrnn import (
+    Dataset,
     LrnnModel,
     TrainConfig,
     clamp_unit,
@@ -272,6 +273,30 @@ class TestTrainShallow:
         model, report = train(x, [24, 8], cfg)
         assert report.final_full_error < initial
         assert validate_constraints(model) == []
+
+
+class TestTrainOnDataset:
+    """A Dataset trains to the bytes its float64 matrix trains to."""
+
+    def assert_same_run(self, a, b):
+        (ma, ra), (mb, rb) = a, b
+        weights = zip(ma.encode_weights + ma.decode_weights, mb.encode_weights + mb.decode_weights)
+        for wa, wb in weights:
+            assert wa.tobytes() == wb.tobytes()
+        assert ra.error_curve == rb.error_curve
+        assert ra.final_full_error == rb.final_full_error
+
+    def test_joint_shuffled(self):
+        d = Dataset(np.random.default_rng(12).integers(0, 256, (130, 10)).astype(np.uint8))
+        cfg = TrainConfig(batch_size=20, max_iterations=15, seed=3, shuffle=True)
+        self.assert_same_run(train(d, [10, 6, 3], cfg), train(d.x, [10, 6, 3], cfg))
+
+    def test_greedy_over_several_chunks(self):
+        d = Dataset(np.random.default_rng(13).integers(0, 256, (4100, 10)).astype(np.uint8))
+        cfg = TrainConfig(batch_size=50, max_iterations=6, seed=5)
+        self.assert_same_run(
+            train(d, [10, 6, 3], cfg, "greedy"), train(d.x, [10, 6, 3], cfg, "greedy")
+        )
 
 
 class TestTrainGreedy:
