@@ -25,7 +25,7 @@ import os
 import sys
 
 from . import data as data_mod
-from .model import CHUNK_ROWS, LrnnModel, dataset_error, forward
+from .model import CHUNK_ROWS, LrnnModel, chunk_output, dataset_error, forward
 from .model_io import _format_rows, load_model, save_model
 from .simulation import DeadNetworkError, QEstimate, compare, compile_sim, run
 from .training import TrainConfig, _encode_dims, train
@@ -171,6 +171,7 @@ def cmd_train(args) -> None:
             os.remove(args.out)  # a failed command leaves no model behind
             raise
     print(f"final full-dataset error: {report.final_full_error:.17g}")
+    print(f"dead visible units: {report.dead_units} of {model.visible_dim}")
     print(f"iterations: {len(report.error_curve)}  wall time: {report.wall_time:.2f}s")
 
 
@@ -185,8 +186,7 @@ def cmd_eval(args) -> None:
     if args.dump:
         with open(args.dump, "w") as f:
             for chunk in data_mod.iter_minibatches(dataset, CHUNK_ROWS):
-                recon = forward(model, chunk).output
-                f.writelines(line + "\n" for line in _format_rows(recon, ","))
+                f.writelines(line + "\n" for line in _format_rows(chunk_output(model, chunk), ","))
     print(f"reconstruction error: {err:.17g}")
 
 

@@ -142,6 +142,16 @@ def reconstruction_error(x, q_dec_final) -> float:
     return float(np.mean(d * d))
 
 
+def chunk_output(model: LrnnModel, chunk: np.ndarray) -> np.ndarray:
+    """``forward(model, chunk).output`` to the bit, for a checked float64 ``chunk``,
+    without keeping the other layers: each layer's product is clamped where it lies."""
+    q = clamp_unit(chunk)
+    for w in model.encode_weights + model.decode_weights:
+        q = q @ w
+        np.minimum(q, 1.0, out=q)
+    return q
+
+
 def dataset_error(model: LrnnModel, x, chunk_rows: int = CHUNK_ROWS) -> float:
     """Reconstruction MSE over a whole dataset, evaluated in row chunks.
 
@@ -163,13 +173,11 @@ def dataset_error(model: LrnnModel, x, chunk_rows: int = CHUNK_ROWS) -> float:
         )
     total = 0.0
     for chunk in iter_minibatches(d, chunk_rows):
-        q = clamp_unit(chunk)
-        for w in model.encode_weights + model.decode_weights:
-            q = q @ w
-            np.minimum(q, 1.0, out=q)
+        q = chunk_output(model, chunk)
         np.subtract(chunk, q, out=q)
         np.multiply(q, q, out=q)
         total += float(np.sum(q))
+        del q  # before the next chunk's output is built
     return total / (d.instance_count * d.attribute_count)
 
 

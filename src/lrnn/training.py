@@ -8,21 +8,45 @@ one update is
     W  <- W  * (A^T A WB^T) / (A^T A W WB WB^T)        (elementwise)
     WB <- WB * (W^T A^T A)  / (W^T A^T A W WB)
 
-The minibatch's shape picks how every product with A^T A is evaluated.
-When B >= V the V x V Gram matrix A^T A is formed once and multiplied in,
-as (A^T A) M; when B < V it never is, and A^T A M is taken as A^T (A M),
-reusing A W_new from the saturation rescale in the decode rule.  Per pair
-that is about (B + 3H) V^2 multiply-adds against about 5 B V H, so the
-factored form wins for wide minibatches such as 100 images of 784 pixels
-and the Gram form for tall ones such as 1000 rows of 64 attributes.  Both
-compute the same rules up to rounding.
+A pair update runs over its live visible units S only: those with a
+nonzero W row or WB column.  The rules keep exact zeros, so a unit whose W
+row and WB column are both zero is dead for good and takes part in no
+product; the step gathers A[:, S], W[S] and WB[:, S], updates those and
+puts them back among zeros.  A unit whose input is zero throughout one
+minibatch dies there: A^T A has a zero row and column for it, so both its W
+row and its WB column become 0, and no later batch revives it.
+``TrainReport.dead_units`` counts the dead visible units at the end.
+
+The minibatch's height against |S| picks how every product with A^T A is
+evaluated.  When B >= |S| the |S| x |S| Gram matrix G = A^T A is formed
+once, and the rules take
+
+    W  <- W  * (G WB^T) / ((G W) (WB WB^T))
+    WB <- WB * (W^T G)  / ((W^T G W) WB)
+
+When B < |S| it never is: with P = A W_new, the saturation rescale's
+pre-activations, they take the same rules reassociated so that every
+intermediate is B rows or H x H,
+
+    W  <- W  * (A^T (A WB^T)) / (A^T ((A W) (WB WB^T)))
+    WB <- WB * (A^T P)^T      / ((P^T P) WB)
+
+Per pair, the rescales' products included, that is about
+(B + 3H) |S|^2 + 2 B |S| H + 4 |S| H^2 multiply-adds in the Gram form
+against 7 B |S| H + 2 (B + |S|) H^2 in the factored one, so the factored
+form wins for wide minibatches such as 100 images of 784 pixels and the
+Gram form for tall ones such as 1000 rows of 64 attributes.  Both compute
+the same rules up to rounding.  ``update_encode`` and ``update_decode``
+run the same rule code over all V units, choosing by B against V.
 
 Zero denominator entries are replaced by ``EPS_FLOOR`` before dividing, so
 the rules are total and preserve both nonnegativity and exact zeros.
 After each update the weights are pushed back inside the constraint set
 (rows summing above 1 are normalized onto the boundary) and every unit
 whose batch pre-activation peaks above the saturation level 1 is scaled
-back onto the boundary.
+back onto the boundary.  The decode rescale's products h @ WB, scaled with
+WB, are the pair's decode output, so the innermost pair hands the batch
+reconstruction its first layer.
 
 One minibatch loop does all training: per batch, each encode layer and its
 mirrored decode layer are updated in turn, feeding the clamped activations
@@ -91,11 +115,17 @@ class TrainConfig:
 @dataclass
 class TrainReport:
     """Error trace of a run: minibatch errors per update plus the final
-    whole-dataset error."""
+    whole-dataset error.
+
+    ``dead_units`` counts the visible units whose row of the first encode
+    layer and column of the last decode layer are both zero at the end:
+    units no further update can revive (see the module docstring).
+    """
 
     error_curve: list[tuple[int, float]] = field(default_factory=list)
     final_full_error: float = float("nan")
     wall_time: float = 0.0
+    dead_units: int = 0
 
 
 def _encode_dims(encode_dims: Sequence[int]) -> list[int]:
@@ -126,32 +156,41 @@ def init_weights(encode_dims: Sequence[int], seed: int) -> LrnnModel:
     return LrnnModel(encode, decode)
 
 
-def _gram_times(a):
-    """``f(m, am=None)`` = A^T A m for the activations ``a``: via the Gram
-    matrix when ``a`` has at least as many rows as columns, else as
-    A^T (A m) (see the module docstring).
-
-    ``am``, when given, is ``a @ m`` already at hand; only the factored form
-    uses it.
-    """
-    if a.shape[0] >= a.shape[1]:
-        gram = a.T @ a
-        return lambda m, am=None: gram @ m
-    return lambda m, am=None: a.T @ (a @ m if am is None else am)
+def _gram(a):
+    """A^T A when ``a`` has at least as many rows as columns, else None: the
+    rules then take every product with A^T A in factored form (see the module
+    docstring)."""
+    return a.T @ a if a.shape[0] >= a.shape[1] else None
 
 
-def _multiplicative_encode(gram_times, w, wb):
-    num = gram_times(wb.T)
-    den = gram_times(w) @ (wb @ wb.T)
+def _multiplicative(x, num, den):
+    """``x * num / den`` with exact-zero denominator entries set to ``EPS_FLOOR``."""
     den[den == 0.0] = EPS_FLOOR
-    return w * num / den
+    out = np.multiply(x, num)
+    np.divide(out, den, out=out)
+    return out
 
 
-def _multiplicative_decode(gram_times, w, wb, aw=None):
-    num = gram_times(w, aw).T  # W^T A^T A, as A^T A is symmetric
-    den = (num @ w) @ wb
-    den[den == 0.0] = EPS_FLOOR
-    return wb * num / den
+def _encode_rule(a, w, wb, gram):
+    if gram is None:
+        num = a.T @ (a @ wb.T)
+        den = a.T @ ((a @ w) @ (wb @ wb.T))
+    else:
+        num = gram @ wb.T
+        den = (gram @ w) @ (wb @ wb.T)
+    return _multiplicative(w, num, den)
+
+
+def _decode_rule(a, w, wb, gram, pre=None):
+    """``pre``, when given, is ``a @ w`` already at hand; only the factored form uses it."""
+    if gram is None:
+        pre = a @ w if pre is None else pre
+        num = (a.T @ pre).T  # W^T A^T A
+        den = (pre.T @ pre) @ wb
+    else:
+        num = (gram @ w).T  # W^T A^T A, as A^T A is symmetric
+        den = (num @ w) @ wb
+    return _multiplicative(wb, num, den)
 
 
 def _layer_operands(model: LrnnModel, m: int, a):
@@ -159,7 +198,7 @@ def _layer_operands(model: LrnnModel, m: int, a):
     w = model.encode_weights[m - 1]
     if a.shape[1] != w.shape[0]:
         raise ValueError(f"activations have {a.shape[1]} columns, layer {m} expects {w.shape[0]}")
-    return _gram_times(a), w, model.decode_weights[model.depth - m]
+    return a, w, model.decode_weights[model.depth - m], _gram(a)
 
 
 def update_encode(model: LrnnModel, m: int, a) -> np.ndarray:
@@ -169,7 +208,7 @@ def update_encode(model: LrnnModel, m: int, a) -> np.ndarray:
     clamped batch itself for m=1, otherwise the (m-1)-th encode activation.
     The paired decode weights are those of the mirrored layer.
     """
-    return _multiplicative_encode(*_layer_operands(model, m, a))
+    return _encode_rule(*_layer_operands(model, m, a))
 
 
 def update_decode(model: LrnnModel, m: int, a) -> np.ndarray:
@@ -178,18 +217,23 @@ def update_decode(model: LrnnModel, m: int, a) -> np.ndarray:
     Uses the model's current encode weights W_m, so when following the
     training order the freshly updated W_m must already be in the model.
     """
-    return _multiplicative_decode(*_layer_operands(model, m, a))
+    return _decode_rule(*_layer_operands(model, m, a))
+
+
+def _row_scale(w: np.ndarray) -> np.ndarray:
+    """Per row of ``w``, its sum where above 1, else 1 (dividing by 1 is exact)."""
+    return np.maximum(w.sum(axis=1), 1.0)[:, None]
 
 
 def project_rows(w: np.ndarray) -> np.ndarray:
     """Scale every row with sum > 1 back onto the constraint boundary sum = 1."""
-    sums = w.sum(axis=1)
-    over = sums > 1.0
-    if not np.any(over):
-        return w
-    out = w.copy()
-    out[over] /= sums[over, None]
-    return out
+    scale = _row_scale(w)
+    return w / scale if np.any(scale > 1.0) else w
+
+
+def _saturation_scale(pre: np.ndarray) -> np.ndarray:
+    """Per unit (column of ``pre``), its peak pre-activation where above 1, else 1."""
+    return np.maximum(pre.max(axis=0), 1.0)
 
 
 def rescale_saturation(w: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -204,30 +248,57 @@ def rescale_saturation(w: np.ndarray, a: np.ndarray) -> np.ndarray:
     """
     if not (w.size and a.size):
         return w
-    peaks = (a @ w).max(axis=0)
-    return w / np.maximum(peaks, 1.0)
+    return w / _saturation_scale(a @ w)
+
+
+def _live_units(w: np.ndarray, wb: np.ndarray) -> np.ndarray:
+    """Mask of the visible units of a pair with a nonzero W row or WB column."""
+    return w.any(axis=1) | wb.any(axis=0)
 
 
 def _pair_step(a, w, wb):
     """One Algorithm body for an (encode, decode) pair on input activations ``a``.
 
-    Returns the new weights plus h = min(a @ w, 1), the activations feeding
-    the next layer.  Both rules share one A^T A operand (the Gram matrix, if
-    formed, is built once), and the saturation rescale's pre-activations
-    a @ w, scaled with w, serve as the decode rule's A W_new and as h.
+    Returns the new weights, h = min(a @ w, 1), the activations feeding the
+    next layer, and min(h @ wb, 1) for the new wb, the pair's decode output.
+    The step runs over the live visible units only (a nonzero W row or WB
+    column; dead ones stay zero under the rules) and puts the results back
+    in place; with every unit live it runs on the operands as given.
     """
-    gram_times = _gram_times(a)
-    w = _multiplicative_encode(gram_times, w, wb)
-    w = project_rows(w)
+    live = np.flatnonzero(_live_units(w, wb))
+    if live.size == w.shape[0]:
+        return _live_pair_step(a, w, wb)
+    w_live, wb_live, h, q_live = _live_pair_step(a[:, live], w[live], wb[:, live])
+    w, wb = np.zeros_like(w), np.zeros_like(wb)
+    q = np.zeros((a.shape[0], wb.shape[1]))
+    w[live], wb[:, live], q[:, live] = w_live, wb_live, q_live
+    return w, wb, h, q
+
+
+def _live_pair_step(a, w, wb):
+    """``_pair_step`` on its operands as given.
+
+    Both rules share one A^T A operand (the Gram matrix, if formed, is built
+    once).  The saturation rescale's pre-activations a @ w, scaled with w,
+    serve as the decode rule's A W_new and as h; those of the decode rescale,
+    h @ wb scaled with wb, as the decode output.
+    """
+    gram = _gram(a)
+    w = _encode_rule(a, w, wb, gram)
+    np.divide(w, _row_scale(w), out=w)
     pre = a @ w
-    scale = np.maximum(pre.max(axis=0), 1.0)
-    w = w / scale
-    pre = pre / scale
-    wb = _multiplicative_decode(gram_times, w, wb, pre)
-    wb = project_rows(wb)
-    h = clamp_unit(pre)
-    wb = rescale_saturation(wb, h)
-    return w, wb, h
+    scale = _saturation_scale(pre)
+    np.divide(w, scale, out=w)
+    np.divide(pre, scale, out=pre)
+    wb = _decode_rule(a, w, wb, gram, pre)
+    np.divide(wb, _row_scale(wb), out=wb)
+    h = np.minimum(pre, 1.0, out=pre)
+    q = h @ wb
+    scale = _saturation_scale(q)
+    np.divide(wb, scale, out=wb)
+    np.divide(q, scale, out=q)
+    np.minimum(q, 1.0, out=q)
+    return w, wb, h, q
 
 
 def _fit(x: Dataset, model, first, cfg, curve, observer) -> None:
@@ -249,13 +320,15 @@ def _fit(x: Dataset, model, first, cfg, curve, observer) -> None:
             for m in range(first, depth):
                 w, wb = model.encode_weights[m], model.decode_weights[depth - 1 - m]
                 if a.max() > 0.0:
-                    w, wb, a = _pair_step(a, w, wb)
+                    w, wb, a, q = _pair_step(a, w, wb)
                     model.encode_weights[m], model.decode_weights[depth - 1 - m] = w, wb
                 else:
                     a = np.zeros((a.shape[0], w.shape[1]))
-            for wb in model.decode_weights[: depth - first]:
-                a = clamp_unit(a @ wb)
-            err = reconstruction_error(batch, a)
+                    q = np.zeros((a.shape[0], wb.shape[1]))
+            # q: the innermost pair's decode output, the reconstruction's first layer
+            for wb in model.decode_weights[1 : depth - first]:
+                q = clamp_unit(q @ wb)
+            err = reconstruction_error(batch, q)
             errors.append(err)
             curve.append((offset + len(errors), err))
             if observer is not None:
@@ -309,4 +382,5 @@ def train(
             )
         model = stage
         _fit(x_stage, model, m, replace(cfg, seed=cfg.seed + m), curve, observer)
-    return model, TrainReport(curve, dataset_error(model, x), time.perf_counter() - start)
+    dead = int(np.count_nonzero(~_live_units(model.encode_weights[0], model.decode_weights[-1])))
+    return model, TrainReport(curve, dataset_error(model, x), time.perf_counter() - start, dead)

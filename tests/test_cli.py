@@ -32,6 +32,16 @@ def train_args(csv_path, out, extra=()):
 
 
 class TestTrain:
+    def test_prints_dead_visible_units(self, tmp_path, capsys):
+        # column 0 is 0 throughout the first 10-row batch, so its unit dies there
+        x = np.random.default_rng(1).random((30, 4))
+        x[:, 0] = np.linspace(0.0, 1.0, 30)
+        x[:10, 0] = 0.0
+        data = tmp_path / "data.csv"
+        data.write_text("\n".join(",".join(f"{v:.10g}" for v in row) for row in x) + "\n")
+        assert main(train_args(data, tmp_path / "m.lrnn")) == EXIT_OK
+        assert "dead visible units: 1 of 4\n" in capsys.readouterr().out
+
     def test_writes_model_and_curve(self, csv_dataset, tmp_path, capsys):
         model_path = tmp_path / "m.lrnn"
         curve_path = tmp_path / "curve.csv"

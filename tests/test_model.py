@@ -18,6 +18,7 @@ from lrnn import (
     reconstruction_error,
     validate_constraints,
 )
+from lrnn.model import chunk_output
 from oracles import dataset_error_reference
 
 nonneg_matrices = arrays(
@@ -162,6 +163,13 @@ class TestReconstructionError:
                     rows = x.x if isinstance(x, Dataset) else x
                     want = dataset_error_reference(model, rows, chunk_rows)
                     assert dataset_error(model, x, chunk_rows) == want
+
+    def test_chunk_output_is_forward_output(self):
+        rng = np.random.default_rng(5)
+        x = rng.random((40, 12)) * 1.5  # entries above 1, clamped by the visual layer
+        for dims in ([12, 5], [12, 6, 3]):
+            model = init_weights(dims, seed=4)
+            assert chunk_output(model, x).tobytes() == forward(model, x).output.tobytes()
 
     def test_dataset_error_refuses_wrong_width(self):
         with pytest.raises(ValueError, match="attributes"):

@@ -2,11 +2,14 @@
 
 Minibatches with fewer rows than columns take the factored form
 A^T (A M) of the update rules; the other tests of the rules use B >= V.
+``_pair_step`` runs over the live visible units only (a nonzero W row or
+WB column), so the switch there sees B against the live count.
 """
 
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -101,7 +104,7 @@ class TestPairStep:
         ref_w, ref_wb = w, wb
         for _ in range(3):
             a = rng.random((batch, v_dim)) * (rng.random((batch, v_dim)) < 0.5)
-            w, wb, h = _pair_step(a, w, wb)
+            w, wb, h, _ = _pair_step(a, w, wb)
             ref_w, ref_wb, ref_h = public_pair_step(a, ref_w, ref_wb)
             for got, want in ((w, ref_w), (wb, ref_wb), (h, ref_h)):
                 np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
@@ -111,6 +114,31 @@ class TestPairStep:
 
     def test_gram_side_equals_public_sequence(self):
         self.check_against_public_sequence(batch=60, v_dim=12, h_dim=5)
+
+    @pytest.mark.parametrize(
+        "batch, v_dim, h_dim, dead",
+        [
+            (20, 50, 10, [0, 17, 49]),  # factored: B < live count
+            (60, 12, 5, [3]),  # Gram: B >= V
+            (20, 30, 6, list(range(0, 30, 2))),  # factored for V, Gram for the live units
+        ],
+    )
+    def test_dead_units_equal_public_sequence(self, batch, v_dim, h_dim, dead):
+        rng = np.random.default_rng(batch * 1000 + v_dim + 7)
+        model = init_weights([v_dim, h_dim], seed=v_dim + 1)
+        w, wb = model.encode_weights[0], model.decode_weights[0]
+        w[dead] = 0.0
+        wb[:, dead] = 0.0
+        ref_w, ref_wb = w, wb
+        for _ in range(3):
+            a = rng.random((batch, v_dim)) * (rng.random((batch, v_dim)) < 0.5)
+            w, wb, h, q = _pair_step(a, w, wb)
+            ref_w, ref_wb, ref_h = public_pair_step(a, ref_w, ref_wb)
+            for got, want in ((w, ref_w), (wb, ref_wb), (h, ref_h)):
+                np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+                np.testing.assert_array_equal(got == 0.0, want == 0.0)
+            np.testing.assert_allclose(q, clamp_unit(h @ wb), rtol=1e-12, atol=0)
+            assert not w[dead].any() and not wb[:, dead].any()
 
     def test_factored_side_forms_no_gram_matrix(self):
         # (B, V, H) = (100, 784, 100): a V x V float64 Gram matrix alone is
@@ -134,7 +162,8 @@ unit_entries = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
 @st.composite
 def pair_cases(draw):
     """A feasible (a, w, wb) with B < V or B >= V, zero rows and columns,
-    and entries exactly 0 or 1."""
+    dead visible units (a zero W row and the matching zero WB column) and
+    entries exactly 0 or 1."""
     v_dim = draw(st.integers(2, 7))
     h_dim = draw(st.integers(1, 5))
     if draw(st.booleans()):
@@ -148,14 +177,17 @@ def pair_cases(draw):
     a[:, draw(st.integers(0, v_dim - 1))] = 0.0
     w[:, draw(st.integers(0, h_dim - 1))] *= draw(st.sampled_from([0.0, 1.0]))
     wb[:, draw(st.integers(0, v_dim - 1))] = 0.0
+    dead = draw(st.lists(st.integers(0, v_dim - 1), max_size=v_dim))
+    w[dead] = 0.0
+    wb[:, dead] = 0.0
     return a, project_rows(w), project_rows(wb)
 
 
 @given(pair_cases())
 @settings(max_examples=60, deadline=None)
 def test_pair_step_keeps_constraints(case):
-    a, w, wb = case
-    w, wb, h = _pair_step(a, w, wb)
+    a, w0, wb0 = case
+    w, wb, h, _ = _pair_step(a, w0, wb0)
     for weights in (w, wb):
         assert np.isfinite(weights).all()
         assert weights.min() >= 0.0
@@ -164,3 +196,6 @@ def test_pair_step_keeps_constraints(case):
     assert ((a @ w).max(axis=0) <= 1.0 + ROW_SUM_SLACK).all()
     assert ((h @ wb).max(axis=0) <= 1.0 + ROW_SUM_SLACK).all()
     np.testing.assert_allclose(h, clamp_unit(a @ w), rtol=1e-12, atol=0)
+    # a dead visible unit stays dead
+    dead = ~(w0.any(axis=1) | wb0.any(axis=0))
+    assert not w[dead].any() and not wb[:, dead].any()

@@ -264,6 +264,21 @@ class TestTrainShallow:
         _, report = train(x, [3, 2], cfg)
         assert len(report.error_curve) < 5000
 
+    def test_unit_zero_throughout_one_minibatch_dies(self):
+        # Column 0 is 0 in the first 10-row batch only: the rules zero its W
+        # row and WB column there, and the later batches cannot revive it.
+        x = np.random.default_rng(23).random((20, 4))
+        x[:10, 0] = 0.0
+        for iterations in (1, 50):
+            model, report = train(x, [4, 2], small_config(batch_size=10, max_iterations=iterations))
+            assert report.dead_units == 1
+            assert not model.encode_weights[0][0].any()
+            assert not model.decode_weights[0][:, 0].any()
+
+    def test_no_dead_units_on_dense_data(self):
+        _, report = train(np.random.default_rng(24).random((20, 4)), [4, 2], small_config())
+        assert report.dead_units == 0
+
     def test_error_decreases_on_structured_data(self):
         rng = np.random.default_rng(8)
         protos = (rng.random((6, 24)) < 0.2) * rng.uniform(0.5, 1.0, (6, 24))
