@@ -29,7 +29,7 @@ pre-activations, they take the same rules reassociated so that every
 intermediate is B rows or H x H,
 
     W  <- W  * (A^T (A WB^T)) / (A^T ((A W) (WB WB^T)))
-    WB <- WB * (A^T P)^T      / ((P^T P) WB)
+    WB <- WB * (P^T A)        / ((P^T P) WB)
 
 Per pair, the rescales' products included, that is about
 (B + 3H) |S|^2 + 2 B |S| H + 4 |S| H^2 multiply-adds in the Gram form
@@ -185,7 +185,7 @@ def _decode_rule(a, w, wb, gram, pre=None):
     """``pre``, when given, is ``a @ w`` already at hand; only the factored form uses it."""
     if gram is None:
         pre = a @ w if pre is None else pre
-        num = (a.T @ pre).T  # W^T A^T A
+        num = pre.T @ a  # W^T A^T A
         den = (pre.T @ pre) @ wb
     else:
         num = (gram @ w).T  # W^T A^T A, as A^T A is symmetric
@@ -253,7 +253,7 @@ def rescale_saturation(w: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 def _live_units(w: np.ndarray, wb: np.ndarray) -> np.ndarray:
     """Mask of the visible units of a pair with a nonzero W row or WB column."""
-    return w.any(axis=1) | wb.any(axis=0)
+    return (w != 0.0).any(axis=1) | (wb != 0.0).any(axis=0)
 
 
 def _pair_step(a, w, wb):
@@ -295,8 +295,9 @@ def _live_pair_step(a, w, wb):
     h = np.minimum(pre, 1.0, out=pre)
     q = h @ wb
     scale = _saturation_scale(q)
-    np.divide(wb, scale, out=wb)
-    np.divide(q, scale, out=q)
+    if np.any(scale > 1.0):  # dividing by 1 is exact, so skip it when no unit saturates
+        np.divide(wb, scale, out=wb)
+        np.divide(q, scale, out=q)
     np.minimum(q, 1.0, out=q)
     return w, wb, h, q
 
