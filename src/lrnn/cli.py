@@ -25,7 +25,7 @@ import os
 import sys
 
 from . import data as data_mod
-from .model import CHUNK_ROWS, LrnnModel, chunk_output, dataset_error, forward
+from .model import LrnnModel, chunk_output, dataset_error, forward, rows_per_chunk
 from .model_io import _format_rows, load_model, save_model
 from .simulation import DeadNetworkError, QEstimate, compare, compile_sim, run
 from .training import TrainConfig, _encode_dims, train
@@ -185,7 +185,7 @@ def cmd_eval(args) -> None:
     err = dataset_error(model, dataset)
     if args.dump:
         with open(args.dump, "w") as f:
-            for chunk in data_mod.iter_minibatches(dataset, CHUNK_ROWS):
+            for chunk in data_mod.iter_minibatches(dataset, rows_per_chunk(*model.encode_dims)):
                 f.writelines(line + "\n" for line in _format_rows(chunk_output(model, chunk), ","))
     print(f"reconstruction error: {err:.17g}")
 

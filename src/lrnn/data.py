@@ -91,16 +91,12 @@ class Dataset:
     def rows(self, index) -> np.ndarray:
         """The rows ``index`` (an int, a slice or an index array) as float64.
 
-        Pixels are converted as ``astype(float64) / 255.0``, the same bits
-        as scaling the whole matrix at once.  A float64 matrix is indexed
-        as it is, so a slice of it is a view.
+        Pixels are divided by 255.0 into a new float64 array in one pass,
+        the same bits as scaling the whole matrix at once.  A float64 matrix
+        is indexed as it is, so a slice of it is a view.
         """
         r = self.values[index]
-        if r.dtype != np.uint8:
-            return r
-        r = r.astype(np.float64)
-        r /= 255.0
-        return r
+        return np.divide(r, 255.0, dtype=np.float64) if r.dtype == np.uint8 else r
 
     @property
     def x(self) -> np.ndarray:

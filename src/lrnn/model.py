@@ -9,6 +9,7 @@ probabilities are the clamped linear map ``min(input @ W, 1)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +20,15 @@ from .data import _as_2d, _as_dataset, as_matrix, iter_minibatches
 #: the exact-normalization steps in training.
 ROW_SUM_SLACK = 1e-12
 
-#: Rows a whole-dataset pass evaluates at once, bounding its float64 working set.
-CHUNK_ROWS = 4096
+#: Values per float64 block of a whole-dataset pass (2 MB): a block of rows
+#: as wide as the widest array the pass builds holds about this many, so the
+#: pass stays in cache and a narrow table is still cut into few blocks.
+CHUNK_VALUES = 1 << 18
+
+
+def rows_per_chunk(*widths: int) -> int:
+    """Rows per block of a whole-dataset pass over arrays ``widths`` values wide."""
+    return max(1, CHUNK_VALUES // max(widths))
 
 
 def clamp_unit(m: np.ndarray) -> np.ndarray:
@@ -139,7 +147,8 @@ def reconstruction_error(x, q_dec_final) -> float:
     if x.shape != q.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {q.shape}")
     d = x - q
-    return float(np.mean(d * d))
+    np.multiply(d, d, out=d)
+    return float(np.mean(d))
 
 
 def chunk_output(model: LrnnModel, chunk: np.ndarray) -> np.ndarray:
@@ -152,17 +161,20 @@ def chunk_output(model: LrnnModel, chunk: np.ndarray) -> np.ndarray:
     return q
 
 
-def dataset_error(model: LrnnModel, x, chunk_rows: int = CHUNK_ROWS) -> float:
-    """Reconstruction MSE over a whole dataset, evaluated in row chunks.
+def dataset_error(model: LrnnModel, x, chunk_rows: int | None = None) -> float:
+    """Reconstruction MSE over a whole dataset, evaluated in blocks of rows.
 
     ``x`` is a :class:`Dataset` or an array; an array is validated as
     :func:`forward` validates it.  Equivalent to
-    ``reconstruction_error(x, forward(model, x).output)``, and equal to the
-    bit to summing ``forward``'s squared errors chunk by chunk, but each
-    chunk is read with :meth:`Dataset.rows` and evaluated in place: every
-    layer's product is clamped where it lies and the last one becomes the
-    squared error.  The working set is a few chunk-sized arrays, whatever
-    the size of the dataset.
+    ``reconstruction_error(x, forward(model, x).output)``, but each block
+    of ``chunk_rows`` rows (by default as many as :data:`CHUNK_VALUES`
+    allows at the model's widest layer) is read with :meth:`Dataset.rows`
+    and evaluated in place: every layer's product is clamped where it lies
+    and the last one becomes the squared error.  Each row's squared error
+    is summed on its own and the row sums are added exactly rounded
+    (``math.fsum``), so the blocks only bound the working set, a few
+    block-sized arrays whatever the size of the dataset, and do not group
+    the sum.
     """
     d = _as_dataset(x)
     if d.instance_count == 0:
@@ -171,14 +183,18 @@ def dataset_error(model: LrnnModel, x, chunk_rows: int = CHUNK_ROWS) -> float:
         raise ValueError(
             f"input has {d.attribute_count} attributes but model expects {model.visible_dim}"
         )
-    total = 0.0
+    if chunk_rows is None:
+        chunk_rows = rows_per_chunk(*model.encode_dims)
+    row_sums = np.empty(d.instance_count)
+    start = 0
     for chunk in iter_minibatches(d, chunk_rows):
         q = chunk_output(model, chunk)
         np.subtract(chunk, q, out=q)
         np.multiply(q, q, out=q)
-        total += float(np.sum(q))
+        np.sum(q, axis=1, out=row_sums[start : start + len(q)])
+        start += len(q)
         del q  # before the next chunk's output is built
-    return total / (d.instance_count * d.attribute_count)
+    return math.fsum(row_sums) / (d.instance_count * d.attribute_count)
 
 
 @dataclass(frozen=True)

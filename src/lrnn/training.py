@@ -11,10 +11,14 @@ one update is
 A pair update runs over its live visible units S only: those with a
 nonzero W row or WB column.  The rules keep exact zeros, so a unit whose W
 row and WB column are both zero is dead for good and takes part in no
-product; the step gathers A[:, S], W[S] and WB[:, S], updates those and
-puts them back among zeros.  A unit whose input is zero throughout one
-minibatch dies there: A^T A has a zero row and column for it, so both its W
-row and its WB column become 0, and no later batch revives it.
+product.  A unit whose input is zero throughout one minibatch dies there:
+A^T A has a zero row and column for it, so both its W row and its WB
+column become 0, and no later batch revives it.  The training loop
+therefore holds each pair as W[S] and WB[:, S] across minibatches, with S
+only ever shrinking: a step gathers just A[:, S], widens only the decode
+output the batch error needs, and drops from S the units it killed.  The
+full-width weights are written back into the model before every observer
+call and when the loop ends, early stop included.
 ``TrainReport.dead_units`` counts the dead visible units at the end.
 
 The minibatch's height against |S| picks how every product with A^T A is
@@ -44,9 +48,11 @@ the rules are total and preserve both nonnegativity and exact zeros.
 After each update the weights are pushed back inside the constraint set
 (rows summing above 1 are normalized onto the boundary) and every unit
 whose batch pre-activation peaks above the saturation level 1 is scaled
-back onto the boundary.  The decode rescale's products h @ WB, scaled with
-WB, are the pair's decode output, so the innermost pair hands the batch
-reconstruction its first layer.
+back onto the boundary.  The scaled pre-activations then lie at or below 1
+exactly, so they are the clamped activations h without a clamp.  The
+decode rescale's products h @ WB, scaled with WB, are the pair's decode
+output, so the innermost pair hands the batch reconstruction its first
+layer.
 
 One minibatch loop does all training: per batch, each encode layer and its
 mirrored decode layer are updated in turn, feeding the clamped activations
@@ -68,7 +74,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .data import Dataset, _as_dataset, as_matrix, iter_minibatches
-from .model import CHUNK_ROWS, LrnnModel, clamp_unit, dataset_error, reconstruction_error
+from .model import LrnnModel, clamp_unit, dataset_error, reconstruction_error, rows_per_chunk
 
 #: Replacement for exact-zero denominators (IEEE double machine epsilon).
 EPS_FLOOR = float(np.finfo(np.float64).eps)
@@ -256,49 +262,93 @@ def _live_units(w: np.ndarray, wb: np.ndarray) -> np.ndarray:
     return (w != 0.0).any(axis=1) | (wb != 0.0).any(axis=0)
 
 
-def _pair_step(a, w, wb):
-    """One Algorithm body for an (encode, decode) pair on input activations ``a``.
+class _LivePair:
+    """An (encode, decode) pair's weights over its live visible units.
 
-    Returns the new weights, h = min(a @ w, 1), the activations feeding the
-    next layer, and min(h @ wb, 1) for the new wb, the pair's decode output.
-    The step runs over the live visible units only (a nonzero W row or WB
-    column; dead ones stay zero under the rules) and puts the results back
-    in place; with every unit live it runs on the operands as given.
+    ``w`` and ``wb`` are W[live] and WB[:, live], ``live`` the indexes of
+    the live units among the pair's ``visible`` ones, or None while every
+    unit is live (then ``w`` and ``wb`` are W and WB themselves).  The rules
+    keep exact zeros, so the live set only shrinks: each step drops the
+    units it killed.
     """
-    live = np.flatnonzero(_live_units(w, wb))
-    if live.size == w.shape[0]:
-        return _live_pair_step(a, w, wb)
-    w_live, wb_live, h, q_live = _live_pair_step(a[:, live], w[live], wb[:, live])
-    w, wb = np.zeros_like(w), np.zeros_like(wb)
-    q = np.zeros((a.shape[0], wb.shape[1]))
-    w[live], wb[:, live], q[:, live] = w_live, wb_live, q_live
-    return w, wb, h, q
+
+    def __init__(self, w: np.ndarray, wb: np.ndarray) -> None:
+        self.visible = w.shape[0]
+        self.live: np.ndarray | None = None
+        self.w, self.wb = w, wb
+        self._drop_dead()
+
+    def _drop_dead(self) -> None:
+        alive = _live_units(self.w, self.wb)
+        if not alive.all():
+            keep = np.flatnonzero(alive)
+            self.live = keep if self.live is None else self.live[keep]
+            self.w, self.wb = self.w[keep], self.wb[:, keep]
+
+    def widen(self, m: np.ndarray) -> np.ndarray:
+        """``m``, whose columns are the live units, among zero columns for the dead ones."""
+        if self.live is None:
+            return m
+        out = np.zeros((m.shape[0], self.visible))
+        out[:, self.live] = m
+        return out
+
+    def weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """W and WB over all visible units."""
+        if self.live is None:
+            return self.w, self.wb
+        w = np.zeros((self.visible, self.w.shape[1]))
+        w[self.live] = self.w
+        return w, self.widen(self.wb)
+
+    def step(self, a: np.ndarray, decode_output: bool) -> tuple[np.ndarray, np.ndarray | None]:
+        """One pair update on input activations ``a`` (all visible units).
+
+        Returns h = min(a @ w, 1), the activations feeding the next layer,
+        and, if ``decode_output``, min(h @ wb, 1) for the new wb over all
+        visible units, the pair's decode output (else None).
+        """
+        if self.live is not None:
+            a = a[:, self.live]
+        self.w, self.wb, h, q = _pair_update(a, self.w, self.wb)
+        q = self.widen(q) if decode_output else None
+        self._drop_dead()
+        return h, q
 
 
-def _live_pair_step(a, w, wb):
-    """``_pair_step`` on its operands as given.
+def _pair_step(a, w, wb):
+    """One Algorithm body for an (encode, decode) pair on input activations ``a``:
+    a single :meth:`_LivePair.step`.  Returns the new W and WB, h and the
+    decode output (see there)."""
+    pair = _LivePair(w, wb)
+    h, q = pair.step(a, decode_output=True)
+    return (*pair.weights(), h, q)
+
+
+def _pair_update(a, w, wb):
+    """The pair update on its operands as given.
 
     Both rules share one A^T A operand (the Gram matrix, if formed, is built
     once).  The saturation rescale's pre-activations a @ w, scaled with w,
     serve as the decode rule's A W_new and as h; those of the decode rescale,
-    h @ wb scaled with wb, as the decode output.
+    h @ wb scaled with wb, as the decode output.  Neither needs clamping: a
+    unit whose peak exceeds 1 is divided by that peak, which puts every
+    entry at or below 1 exactly.
     """
     gram = _gram(a)
     w = _encode_rule(a, w, wb, gram)
     np.divide(w, _row_scale(w), out=w)
-    pre = a @ w
-    scale = _saturation_scale(pre)
+    h = a @ w
+    scale = _saturation_scale(h)
     np.divide(w, scale, out=w)
-    np.divide(pre, scale, out=pre)
-    wb = _decode_rule(a, w, wb, gram, pre)
+    np.divide(h, scale, out=h)
+    wb = _decode_rule(a, w, wb, gram, h)
     np.divide(wb, _row_scale(wb), out=wb)
-    h = np.minimum(pre, 1.0, out=pre)
     q = h @ wb
     scale = _saturation_scale(q)
     if np.any(scale > 1.0):  # dividing by 1 is exact, so skip it when no unit saturates
         np.divide(wb, scale, out=wb)
         np.divide(q, scale, out=q)
-    np.minimum(q, 1.0, out=q)
     return w, wb, h, q
 
 
@@ -306,46 +356,63 @@ def _fit(x: Dataset, model, first, cfg, curve, observer) -> None:
     """The minibatch loop: trains pairs ``first``..depth-1 (0-based) of ``model``
     in place on ``x``, the input of encode layer ``first``; appends to ``curve``.
 
-    Iterations are numbered on from the last entry of ``curve``; the
-    budget and the early stop count this call's iterations only.
+    The pairs' weights are held over their live units (:class:`_LivePair`)
+    and written back into ``model`` before every observer call and on
+    return.  Iterations are numbered on from the last entry of ``curve``;
+    the budget and the early stop count this call's iterations only.
     """
     order_rng = np.random.default_rng([cfg.seed, _SHUFFLE_STREAM]) if cfg.shuffle else None
     depth = model.depth
+    pairs = [
+        _LivePair(model.encode_weights[m], model.decode_weights[depth - 1 - m])
+        for m in range(first, depth)
+    ]
+
+    def write_back() -> None:
+        for m, pair in enumerate(pairs, first):
+            model.encode_weights[m], model.decode_weights[depth - 1 - m] = pair.weights()
+
     offset = len(curve)
     errors: list[float] = []
     epoch = 0
-    while cfg.max_epochs is None or epoch < cfg.max_epochs:
-        epoch += 1
-        for batch in iter_minibatches(x, cfg.batch_size, order_rng, cfg.shuffle):
-            a = clamp_unit(batch)
-            for m in range(first, depth):
-                w, wb = model.encode_weights[m], model.decode_weights[depth - 1 - m]
-                if a.max() > 0.0:
-                    w, wb, a, q = _pair_step(a, w, wb)
-                    model.encode_weights[m], model.decode_weights[depth - 1 - m] = w, wb
-                else:
-                    a = np.zeros((a.shape[0], w.shape[1]))
-                    q = np.zeros((a.shape[0], wb.shape[1]))
-            # q: the innermost pair's decode output, the reconstruction's first layer
-            for wb in model.decode_weights[1 : depth - first]:
-                q = clamp_unit(q @ wb)
-            err = reconstruction_error(batch, q)
-            errors.append(err)
-            curve.append((offset + len(errors), err))
-            if observer is not None:
-                observer(offset + len(errors), err, model)
-            if cfg.max_iterations is not None and len(errors) >= cfg.max_iterations:
-                return
-            if cfg.rel_tol > 0.0 and len(errors) >= 2 * _EARLY_STOP_WINDOW:
-                prev = float(np.mean(errors[-2 * _EARLY_STOP_WINDOW : -_EARLY_STOP_WINDOW]))
-                cur = float(np.mean(errors[-_EARLY_STOP_WINDOW:]))
-                if prev > 0.0 and (prev - cur) / prev < cfg.rel_tol:
+    try:
+        while cfg.max_epochs is None or epoch < cfg.max_epochs:
+            epoch += 1
+            for batch in iter_minibatches(x, cfg.batch_size, order_rng, cfg.shuffle):
+                a, peak = batch, batch.max()
+                if peak > 1.0:
+                    a = clamp_unit(batch)
+                for pair in pairs:
+                    if peak > 0.0:
+                        a, q = pair.step(a, decode_output=pair is pairs[-1])
+                        peak = a.max()
+                    else:
+                        q = np.zeros((a.shape[0], pair.visible))
+                        a = np.zeros((a.shape[0], pair.w.shape[1]))
+                # q: the innermost pair's decode output, the reconstruction's first layer
+                for pair in pairs[-2::-1]:
+                    q = clamp_unit(q @ pair.widen(pair.wb))
+                err = reconstruction_error(batch, q)
+                errors.append(err)
+                curve.append((offset + len(errors), err))
+                if observer is not None:
+                    write_back()
+                    observer(offset + len(errors), err, model)
+                if cfg.max_iterations is not None and len(errors) >= cfg.max_iterations:
                     return
+                if cfg.rel_tol > 0.0 and len(errors) >= 2 * _EARLY_STOP_WINDOW:
+                    prev = float(np.mean(errors[-2 * _EARLY_STOP_WINDOW : -_EARLY_STOP_WINDOW]))
+                    cur = float(np.mean(errors[-_EARLY_STOP_WINDOW:]))
+                    if prev > 0.0 and (prev - cur) / prev < cfg.rel_tol:
+                        return
+    finally:
+        write_back()
 
 
 def _code(x: Dataset, w: np.ndarray) -> Dataset:
     """The clamped activations ``min(x @ w, 1)`` of every row, a chunk of rows at a time."""
-    return Dataset(np.concatenate([clamp_unit(c @ w) for c in iter_minibatches(x, CHUNK_ROWS)]))
+    chunks = iter_minibatches(x, rows_per_chunk(*w.shape))
+    return Dataset(np.concatenate([clamp_unit(c @ w) for c in chunks]))
 
 
 def train(

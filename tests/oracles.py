@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from math import log
+from math import fsum, log
 
 import numpy as np
 
@@ -18,16 +18,17 @@ from lrnn.simulation import DeadNetworkError, QEstimate, SimNetwork, run
 
 
 def dataset_error_reference(model, x, chunk_rows: int = 4096) -> float:
-    """Whole-dataset MSE as the sum of ``forward``'s squared errors, chunk by
-    chunk: ``dataset_error``, which evaluates the chunks in place, must give
-    these bits."""
+    """Whole-dataset MSE from ``forward``'s output, a chunk of ``chunk_rows``
+    rows at a time: each row's squared error summed on its own, the row sums
+    added with ``math.fsum``.  ``dataset_error``, which evaluates the chunks
+    in place, must give these bits."""
     x = np.ascontiguousarray(x, dtype=np.float64)
-    total = 0.0
+    row_sums = []
     for start in range(0, x.shape[0], chunk_rows):
         chunk = x[start : start + chunk_rows]
-        d = chunk - forward(model, chunk).output
-        total += float(np.sum(d * d))
-    return total / x.size
+        for row in chunk - forward(model, chunk).output:
+            row_sums.append(np.sum(row * row))
+    return fsum(row_sums) / x.size
 
 
 def gram_loops(a) -> list[list[float]]:

@@ -67,6 +67,13 @@ class TestDatasetRows:
         d = load_dataset(cifar_file(rng.integers(0, 10, 9), pixels), "cifar")
         self.assert_scaled_on_read(d, pixels.astype(np.uint8))
 
+    def test_one_pass_scaling_equals_convert_then_divide(self):
+        pixels = np.arange(256, dtype=np.uint8).reshape(16, 16)  # every pixel value
+        for index in self.INDEXES:
+            old = pixels[index].astype(np.float64)
+            old /= 255.0
+            assert Dataset(pixels).rows(index).tobytes() == old.tobytes()
+
     def test_float_rows_are_views(self):
         d = Dataset(np.arange(12.0).reshape(6, 2))
         assert np.shares_memory(d.rows(slice(1, 4)), d.values)

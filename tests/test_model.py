@@ -18,7 +18,7 @@ from lrnn import (
     reconstruction_error,
     validate_constraints,
 )
-from lrnn.model import chunk_output
+from lrnn.model import CHUNK_VALUES, chunk_output, rows_per_chunk
 from oracles import dataset_error_reference
 
 nonneg_matrices = arrays(
@@ -144,6 +144,14 @@ class TestReconstructionError:
         shifted = m + 0.5
         assert reconstruction_error(m, shifted) > 0.0
 
+    def test_in_place_square_equals_product_of_difference(self):
+        rng = np.random.default_rng(6)
+        for shape in ((1, 1), (7, 13), (100, 784)):
+            x = rng.random(shape) * (rng.random(shape) < 0.5)
+            q = rng.random(shape)
+            d = x - q
+            assert reconstruction_error(x, q) == float(np.mean(d * d))
+
     def test_dataset_error_matches_forward(self):
         rng = np.random.default_rng(1)
         model = init_weights([6, 3], seed=1)
@@ -159,10 +167,12 @@ class TestReconstructionError:
         for dims in ([12, 5], [12, 6, 3]):
             model = init_weights(dims, seed=3)
             for x in (Dataset(pixels), Dataset(floats), floats, wide):
-                for chunk_rows in (4096, 7, 1):
-                    rows = x.x if isinstance(x, Dataset) else x
+                rows = x.x if isinstance(x, Dataset) else x
+                for chunk_rows in (4096, 512, 7, 1):
                     want = dataset_error_reference(model, rows, chunk_rows)
                     assert dataset_error(model, x, chunk_rows) == want
+                want = dataset_error_reference(model, rows, rows_per_chunk(*dims))
+                assert dataset_error(model, x) == want
 
     def test_chunk_output_is_forward_output(self):
         rng = np.random.default_rng(5)
@@ -176,10 +186,10 @@ class TestReconstructionError:
             dataset_error(init_weights([3, 2], seed=0), Dataset(np.zeros((4, 2), np.uint8)))
 
     def test_dataset_error_working_set_is_a_few_chunks(self):
-        """40,000 x 64 rows are 20 MB as float64; a 4096-row chunk is 2 MB."""
+        """40,000 x 64 rows are 20 MB as float64; a chunk of CHUNK_VALUES is 2 MB."""
         pixels = np.random.default_rng(4).integers(0, 256, (40_000, 64)).astype(np.uint8)
         model = init_weights([64, 32, 16], seed=0)
-        chunk_bytes = 4096 * 64 * 8
+        chunk_bytes = CHUNK_VALUES * 8
         for x in (Dataset(pixels), pixels / 255.0):
             tracemalloc.start()
             try:

@@ -10,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -24,7 +24,7 @@ from lrnn import (
     update_encode,
 )
 from lrnn.model import ROW_SUM_SLACK
-from lrnn.training import EPS_FLOOR, _pair_step
+from lrnn.training import EPS_FLOOR, _LivePair, _pair_step
 
 from oracles import scalar_update_decode, scalar_update_encode
 
@@ -140,6 +140,23 @@ class TestPairStep:
             np.testing.assert_allclose(q, clamp_unit(h @ wb), rtol=1e-12, atol=0)
             assert not w[dead].any() and not wb[:, dead].any()
 
+    def test_live_set_shrinks_to_the_surviving_units(self):
+        rng = np.random.default_rng(59)
+        model = init_weights([8, 3], seed=59)
+        pair = _LivePair(model.encode_weights[0], model.decode_weights[0])
+        assert pair.live is None  # every unit live: the weights as given
+        a = rng.random((5, 8))
+        a[:, [1, 6]] = 0.0  # zero throughout the batch: both units die
+        pair.step(a, decode_output=False)
+        np.testing.assert_array_equal(pair.live, [0, 2, 3, 4, 5, 7])
+        assert pair.w.shape == (6, 3) and pair.wb.shape == (3, 6)
+        assert pair.w.all() and pair.wb.all()
+        a[:, 1] = 1.0  # the dead unit's pixel lights up again
+        pair.step(a, decode_output=False)
+        np.testing.assert_array_equal(pair.live, [0, 2, 3, 4, 5, 7])
+        w, wb = pair.weights()
+        assert not w[[1, 6]].any() and not wb[:, [1, 6]].any()
+
     def test_factored_side_forms_no_gram_matrix(self):
         # (B, V, H) = (100, 784, 100): a V x V float64 Gram matrix alone is
         # V * V * 8 bytes, more than the whole factored step needs.
@@ -199,3 +216,42 @@ def test_pair_step_keeps_constraints(case):
     # a dead visible unit stays dead
     dead = ~(w0.any(axis=1) | wb0.any(axis=0))
     assert not w[dead].any() and not wb[:, dead].any()
+
+
+def saturating_case(v_dim, h_dim):
+    """Ones for inputs and weights (rows projected) and one dead visible unit."""
+    a = np.ones((3, v_dim + 1))
+    a[0, 0] = 0.5
+    w, wb = project_rows(np.ones((v_dim + 1, h_dim))), project_rows(np.ones((h_dim, v_dim + 1)))
+    w[v_dim] = 0.0
+    wb[:, v_dim] = 0.0
+    return a, w, wb
+
+
+ENCODE_SATURATES, DECODE_SATURATES = saturating_case(3, 2), saturating_case(2, 4)
+
+
+def public_peaks(a, w, wb):
+    """Each rescale's peak batch pre-activation, as the public sequence meets it."""
+    model = LrnnModel([w], [wb])
+    w = project_rows(update_encode(model, 1, a))
+    encode_peak = (a @ w).max()
+    model.encode_weights[0] = rescale_saturation(w, a)
+    wb = project_rows(update_decode(model, 1, a))
+    return encode_peak, (clamp_unit(a @ model.encode_weights[0]) @ wb).max()
+
+
+def test_examples_saturate():
+    assert public_peaks(*ENCODE_SATURATES)[0] > 1.0
+    assert public_peaks(*DECODE_SATURATES)[1] > 1.0
+
+
+@given(pair_cases())
+@example(ENCODE_SATURATES)
+@example(DECODE_SATURATES)
+@settings(max_examples=100, deadline=None)
+def test_step_outputs_need_no_clamp(case):
+    """The rescales leave h and the decode output at or below 1 exactly,
+    so the step clamps neither."""
+    _, _, h, q = _pair_step(*case)
+    assert h.max() <= 1.0 and q.max() <= 1.0

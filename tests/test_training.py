@@ -11,8 +11,10 @@ from lrnn import (
     TrainConfig,
     clamp_unit,
     dataset_error,
+    forward,
     init_weights,
     project_rows,
+    reconstruction_error,
     rescale_saturation,
     train,
     update_decode,
@@ -21,7 +23,9 @@ from lrnn import (
 )
 
 
+from lrnn.model import rows_per_chunk
 from oracles import scalar_update_decode, scalar_update_encode
+from synthetic import disjoint_halves, mnist_like
 
 
 class TestUpdateRules:
@@ -307,7 +311,8 @@ class TestTrainOnDataset:
         self.assert_same_run(train(d, [10, 6, 3], cfg), train(d.x, [10, 6, 3], cfg))
 
     def test_greedy_over_several_chunks(self):
-        d = Dataset(np.random.default_rng(13).integers(0, 256, (4100, 10)).astype(np.uint8))
+        rows = rows_per_chunk(10, 6) + 4  # the stage-2 code is built in two chunks
+        d = Dataset(np.random.default_rng(13).integers(0, 256, (rows, 10)).astype(np.uint8))
         cfg = TrainConfig(batch_size=50, max_iterations=6, seed=5)
         self.assert_same_run(
             train(d, [10, 6, 3], cfg, "greedy"), train(d.x, [10, 6, 3], cfg, "greedy")
@@ -384,3 +389,93 @@ class TestTrainJoint:
             assert report.error_curve[0] == (1, 0.0)
             for w in model.encode_weights + model.decode_weights:
                 assert w.any(), algo
+
+
+def snapshot(model):
+    return [w.copy() for w in model.encode_weights + model.decode_weights]
+
+
+def assert_same_arrays(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+class TestLiveUnitsHeldAcrossBatches:
+    """Training holds each pair's weights over its live visible units and
+    writes them back whenever a model leaves the loop."""
+
+    X = Dataset(mnist_like(seed=31, rows=60))  # 8 x 8 images, blank borders
+
+    def observed(self, dims, cfg, algo):
+        seen = {}
+        model, report = train(self.X, dims, cfg, algo, lambda i, e, m: seen.update({i: snapshot(m)}))
+        return seen, model, report
+
+    def test_data_has_dead_visible_units(self):
+        _, report = train(self.X, [64, 6], TrainConfig(batch_size=10, max_iterations=3))
+        assert 0 < report.dead_units < 64
+
+    def test_joint_observer_sees_the_model_train_returns(self):
+        cfg = TrainConfig(batch_size=10, max_iterations=14, seed=2)
+        seen, model, report = self.observed([64, 6, 3], cfg, "joint")
+        assert sorted(seen) == list(range(1, 15))
+        assert_same_arrays(seen[14], snapshot(model))
+        for i in (1, 2, 7, 13):
+            at_i, _ = train(self.X, [64, 6, 3], replace(cfg, max_iterations=i))
+            assert_same_arrays(seen[i], snapshot(at_i))
+        # each batch error is the reconstruction by the weights just updated
+        for i, err in report.error_curve:
+            start = (i - 1) % 6 * 10  # 60 rows: six batches an epoch
+            batch = self.X.rows(slice(start, start + 10))
+            m = LrnnModel(seen[i][:2], seen[i][2:])
+            assert err == pytest.approx(reconstruction_error(batch, forward(m, batch).output), rel=1e-9)
+
+    def test_greedy_observer_sees_the_stages_train_returns(self):
+        cfg = TrainConfig(batch_size=10, max_iterations=8, seed=3)
+        seen, model, _ = self.observed([64, 6, 3], cfg, "greedy")
+        assert_same_arrays(seen[16], snapshot(model))
+        stage1, _ = train(self.X, [64, 6], cfg, "greedy")
+        code = clamp_unit(self.X.x @ stage1.encode_weights[0])
+        for i in (1, 5, 8):
+            at_i, _ = train(self.X, [64, 6], replace(cfg, max_iterations=i), "greedy")
+            assert_same_arrays(seen[i], snapshot(at_i))
+        for j in (1, 4):
+            stage2, _ = train(code, [6, 3], replace(cfg, max_iterations=j, seed=4))
+            want = LrnnModel(
+                [stage1.encode_weights[0], stage2.encode_weights[0]],
+                [stage2.decode_weights[0], stage1.decode_weights[0]],
+            )
+            assert_same_arrays(seen[8 + j], snapshot(want))
+
+    def test_early_stop_returns_the_written_back_weights(self):
+        cfg = TrainConfig(batch_size=10, max_iterations=5000, seed=1, rel_tol=0.5)
+        seen, model, report = self.observed([64, 6], cfg, "joint")
+        stopped = len(report.error_curve)
+        assert stopped < 5000 and report.dead_units > 0
+        assert_same_arrays(seen[stopped], snapshot(model))
+        budget, _ = train(self.X, [64, 6], replace(cfg, max_iterations=stopped, rel_tol=0.0))
+        assert_same_arrays(snapshot(model), snapshot(budget))
+
+
+class TestEveryVisibleUnitDies:
+    """Rows whose supports are disjoint across the two minibatches: each
+    pixel is 0 throughout one of them, so every visible unit dies."""
+
+    @pytest.mark.parametrize("dims", [[64, 6], [64, 6, 3]])
+    def test_training_finishes_with_every_unit_dead(self, dims):
+        x = Dataset(disjoint_halves(seed=7, batch=5))
+        live_sets = []
+
+        def observer(i, err, model):
+            live = model.encode_weights[0].any(axis=1) | model.decode_weights[-1].any(axis=0)
+            live_sets.append(live)
+
+        model, report = train(x, dims, TrainConfig(batch_size=5, max_iterations=8), "joint", observer)
+        assert not model.encode_weights[0].any() and not model.decode_weights[-1].any()
+        assert report.dead_units == 64
+        assert np.isfinite([err for _, err in report.error_curve]).all()
+        assert np.isfinite(report.final_full_error)
+        assert live_sets[0].any() and not live_sets[1].any()
+        for before, after in zip(live_sets, live_sets[1:]):
+            assert not (after & ~before).any()  # a shrunk live set never grows again
