@@ -20,6 +20,7 @@ for a failure:
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -27,8 +28,9 @@ import sys
 from . import data as data_mod
 from .model import LrnnModel, chunk_output, dataset_error, forward, rows_per_chunk
 from .model_io import _format_rows, load_model, save_model
-from .simulation import DeadNetworkError, QEstimate, compare, compile_sim, run
-from .training import TrainConfig, _encode_dims, train
+
+# ``training`` and ``simulation`` are imported by the commands that run them,
+# so each command loads only its own modules.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -95,6 +97,8 @@ def _one_char(text: str) -> str:
 
 
 def _arch(text: str) -> list[int]:
+    from .training import _encode_dims
+
     return _encode_dims(text.split(","))
 
 
@@ -131,11 +135,15 @@ def _load_data(args, width: int, what: str) -> data_mod.Dataset:
 
 
 def cmd_train(args) -> None:
+    from .training import TrainConfig, train
+
     dims = args.arch
     if args.algo == "shallow" and len(dims) != 2:
         raise UsageError("--algo shallow needs --arch V,H")
     if args.iters is None and args.epochs is None:
         raise UsageError("set --iters and/or --epochs")
+    if args.full_error_every and not args.curve:
+        raise UsageError("--full-error-every needs --curve")
     dataset = _load_data(args, dims[0], "--arch starts with")
     cfg = TrainConfig(
         batch_size=args.batch,
@@ -148,7 +156,7 @@ def cmd_train(args) -> None:
 
     full_rows: dict[int, float] = {}
     observer = None
-    if args.curve and args.full_error_every:
+    if args.full_error_every:
         every = args.full_error_every
 
         def observer(iteration, _err, model):
@@ -191,6 +199,8 @@ def cmd_eval(args) -> None:
 
 
 def cmd_simulate(args) -> None:
+    from .simulation import DeadNetworkError, QEstimate, compare, compile_sim, run
+
     if args.events < args.burn_in + args.observe_every:
         raise UsageError(
             f"--events {args.events} yields no observation "
@@ -289,6 +299,13 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    """Console entry point: :func:`main` in a process that exits after it.
+
+    The objects the imports made live until exit, so they are moved out of
+    the collector's generations (``gc.freeze``): neither the run's
+    collections nor the one at interpreter exit walk them again.
+    """
+    gc.freeze()
     sys.exit(main())
 
 

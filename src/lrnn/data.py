@@ -21,8 +21,6 @@ value.  Its formats:
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import struct
 from array import array
@@ -215,6 +213,8 @@ def _parse_bulk(
 
 def _scan_csv(path, delimiter: str, has_header: bool, label_column: int | None) -> np.ndarray:
     """:func:`_load_csv` one cell at a time, naming the line and column of any error."""
+    import csv  # here, so that only this fallback pays for the import
+
     path = Path(path)
     cells = array("d")  # every data cell, row after row, 8 bytes apiece
     line_nos = array("q")  # file line of each data row
@@ -393,6 +393,8 @@ def _load_manifest(path) -> dict[str, dict]:
     ``label_column`` and ``header``.  Relative paths are resolved against
     the manifest's directory.
     """
+    import json  # here, so that only manifests pay for the import
+
     path = Path(path)
     with open(path) as f:
         raw = json.load(f)

@@ -172,9 +172,13 @@ def dataset_error(model: LrnnModel, x, chunk_rows: int | None = None) -> float:
     and evaluated in place: every layer's product is clamped where it lies
     and the last one becomes the squared error.  Each row's squared error
     is summed on its own and the row sums are added exactly rounded
-    (``math.fsum``), so the blocks only bound the working set, a few
+    (``math.fsum``), so the blocks bound the working set, a few
     block-sized arrays whatever the size of the dataset, and do not group
-    the sum.
+    the sum.  They can still move a row's output bits: BLAS takes other
+    kernels for short blocks, so a row in a short last block may differ
+    in its last bit from the same row in a full one, and the last digit
+    of the error can depend on the row count.  ``lrnn train`` and
+    ``lrnn eval`` use the same blocks and print the same error.
     """
     d = _as_dataset(x)
     if d.instance_count == 0:

@@ -98,8 +98,22 @@ def _read_block(r: _Reader, marker: str, m: int, rows: int, cols: int) -> np.nda
             raise ValueError(
                 f"{r.path}: block {marker} {m} row {i} has {len(values)} values, expected {cols}"
             )
-        w[i] = [float(v) for v in values]
+        try:
+            w[i] = [float(v) for v in values]
+        except ValueError as e:
+            raise ValueError(f"{r.path}: block {marker} {m} row {i}: {e}") from None
     return w
+
+
+def _header_size(r: _Reader, what: str, text: str) -> int:
+    """A size read from the header: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValueError(f"{r.path}: {what} must be an integer, got {text!r}") from None
+    if value < 1:
+        raise ValueError(f"{r.path}: {what} must be >= 1, got {value}")
+    return value
 
 
 def load_model(path) -> LrnnModel:
@@ -111,13 +125,11 @@ def load_model(path) -> LrnnModel:
     depth_line = r.next_line("depth").split()
     if len(depth_line) != 2 or depth_line[0] != "depth":
         raise ValueError(f"{r.path}: malformed depth line {' '.join(depth_line)!r}")
-    depth = int(depth_line[1])
-    if depth < 1:
-        raise ValueError(f"{r.path}: depth must be >= 1, got {depth}")
+    depth = _header_size(r, "depth", depth_line[1])
     dims_line = r.next_line("dims").split()
     if dims_line[0] != "dims" or len(dims_line) != depth + 2:
         raise ValueError(f"{r.path}: dims line must list {depth + 1} sizes")
-    dims = [int(v) for v in dims_line[1:]]
+    dims = [_header_size(r, "dims size", v) for v in dims_line[1:]]
     mirror = dims[::-1]
     encode = [_read_block(r, "W", m + 1, dims[m], dims[m + 1]) for m in range(depth)]
     decode = [_read_block(r, "WB", m + 1, mirror[m], mirror[m + 1]) for m in range(depth)]

@@ -119,6 +119,8 @@ class TestTrain:
         assert main(bad) == EXIT_USAGE
         no_budget = [a for a in train_args(csv_dataset, out) if a not in ("--iters", "12")]
         assert main(no_budget) == EXIT_USAGE
+        # full-dataset rows go into the curve, so without --curve the flag contradicts
+        assert main(train_args(csv_dataset, out, ["--full-error-every", "2"])) == EXIT_USAGE
         for flag, value in (
             ("--batch", "0"), ("--iters", "0"), ("--iters", "-3"), ("--iters", "two"),
             ("--epochs", "0"), ("--full-error-every", "0"), ("--seed", "-1"),

@@ -101,10 +101,14 @@ LOAD_ERRORS = [
     ("row with too few values", "depth 1\ndims 2 1\nW 1 2 1\n0.5\n0.5\nWB 1 1 2\n0.5\n",
      "block WB 1 row 0 has 1 values, expected 2"),
     ("non-numeric value", "depth 1\ndims 1 1\nW 1 1 1\nhalf\n",
-     "could not convert string to float: 'half'"),
+     "block W 1 row 0: could not convert string to float: 'half'"),
     ("malformed depth line", "deep 1\ndims 1 1\n", "malformed depth line 'deep 1'"),
     ("depth line without a value", "depth\ndims 1 1\n", "malformed depth line 'depth'"),
     ("depth 0", "depth 0\ndims 1\n", "depth must be >= 1, got 0"),
+    ("non-integer depth", "depth x\ndims 1 1\n", "depth must be an integer, got 'x'"),
+    ("non-integer size", "depth 1\ndims 3 x\n", "dims size must be an integer, got 'x'"),
+    ("negative size", "depth 1\ndims 3 -1\n", "dims size must be >= 1, got -1"),
+    ("zero size", "depth 1\ndims 3 0\nW 1 3 0\n\n\n\nWB 1 0 3\n", "dims size must be >= 1, got 0"),
     ("dims line too short", "depth 1\ndims 1\n", "dims line must list 2 sizes"),
     ("dims line too long", "depth 1\ndims 1 1 1\n", "dims line must list 2 sizes"),
     ("dims line with the wrong keyword", "depth 1\nsizes 1 1\n", "dims line must list 2 sizes"),
@@ -122,8 +126,9 @@ LOAD_ERRORS = [
 def test_load_error_message(tmp_path, body, message):
     f = tmp_path / "m.lrnn"
     f.write_text("LRNN1\n" + body)
-    with pytest.raises(ValueError, match=re.escape(message)):
+    with pytest.raises(ValueError, match=re.escape(message)) as excinfo:
         load_model(f)
+    assert str(excinfo.value).startswith(f"{f}: ")
 
 
 class TestLoadValidation:
