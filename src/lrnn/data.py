@@ -120,6 +120,9 @@ def _load_idx(images_path) -> np.ndarray:
     magic, count, rows, cols = struct.unpack(">iiii", raw[:16])
     if magic != IDX_IMAGE_MAGIC:
         raise ValueError(f"{path}: bad IDX magic 0x{magic:08x}, expected 0x{IDX_IMAGE_MAGIC:08x}")
+    for what, value in (("image count", count), ("rows", rows), ("cols", cols)):
+        if value < 1:
+            raise ValueError(f"{path}: IDX {what} must be >= 1, got {value}")
     expected = 16 + count * rows * cols
     if len(raw) < expected:
         raise ValueError(f"{path}: truncated IDX file, {len(raw)} bytes < {expected}")
@@ -357,7 +360,7 @@ def load_dataset(
         e = entries[name]
         path, fmt = e["path"], e["format"]
         delimiter, label_column = e.get("delimiter", ","), e.get("label_column")
-        has_header = bool(e.get("header", False))
+        has_header = e.get("header", False)
     if fmt == "idx":
         x = _load_idx(path)
     elif fmt == "cifar":
@@ -386,12 +389,23 @@ def _guess_format(path) -> str:
     return "cifar" if path.is_dir() or path.suffix == ".bin" else "idx"
 
 
+#: Each manifest setting: what it must be, and the test of a value.
+_MANIFEST_SETTINGS = {
+    "path": ("a string", lambda v: isinstance(v, str)),
+    "format": ("a string", lambda v: isinstance(v, str)),
+    "delimiter": ("a one-character string", lambda v: isinstance(v, str) and len(v) == 1),
+    "header": ("true or false", lambda v: isinstance(v, bool)),
+    "label_column": ("an integer or null", lambda v: v is None or type(v) is int),
+}
+
+
 def _load_manifest(path) -> dict[str, dict]:
     """Read a manifest: JSON object mapping name -> loader settings.
 
     Each entry needs ``path`` and ``format`` and may add ``delimiter``,
-    ``label_column`` and ``header``.  Relative paths are resolved against
-    the manifest's directory.
+    ``label_column`` and ``header``; a setting of another type than
+    :data:`_MANIFEST_SETTINGS` names is refused.  Relative paths are
+    resolved against the manifest's directory.
     """
     import json  # here, so that only manifests pay for the import
 
@@ -404,6 +418,11 @@ def _load_manifest(path) -> dict[str, dict]:
     for name, entry in raw.items():
         if not isinstance(entry, dict) or "path" not in entry or "format" not in entry:
             raise ValueError(f"{path}: entry {name!r} needs at least 'path' and 'format'")
+        for key, (kind, valid) in _MANIFEST_SETTINGS.items():
+            if key in entry and not valid(entry[key]):
+                raise ValueError(
+                    f"{path}: entry {name!r} setting {key!r} must be {kind}, got {entry[key]!r}"
+                )
         entry = dict(entry)
         p = Path(entry["path"])
         if not p.is_absolute():

@@ -12,8 +12,12 @@ Layout (whitespace separated, one matrix row per line):
     ...
 
 Values are written with 17 significant digits, which round-trips IEEE
-doubles exactly, so save/load reproduces every weight bit for bit.
-Loading re-checks the declared shapes and the RNN constraints.
+doubles exactly, so save/load reproduces every weight bit for bit.  On
+load, values are whitespace-separated numbers as ``np.loadtxt`` reads
+them (``1_0``, which only ``float`` reads, is refused); declared sizes are
+checked against the lines present before any block is parsed, so no array
+outgrows the file; a row-by-row read only words why a block was refused;
+and the RNN constraints are checked again.
 """
 
 from __future__ import annotations
@@ -46,95 +50,80 @@ def save_model(model: LrnnModel, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-class _Reader:
-    def __init__(self, path: Path):
-        self.path = path
-        self.lines = path.read_text().splitlines()
-        self.pos = 0
-
-    def next_line(self, what: str) -> str:
-        line = self.next_line_or_none()
-        if line is None:
-            raise ValueError(f"{self.path}: unexpected end of file, expected {what}")
-        return line
-
-    def next_line_or_none(self) -> str | None:
-        while self.pos < len(self.lines):
-            line = self.lines[self.pos].strip()
-            self.pos += 1
-            if line:
-                return line
-        return None
+def _line(path: Path, lines: list[str], pos: int, what: str) -> str:
+    if pos >= len(lines):
+        raise ValueError(f"{path}: unexpected end of file, expected {what}")
+    return lines[pos]
 
 
-def _read_block(r: _Reader, marker: str, m: int, rows: int, cols: int) -> np.ndarray:
-    head = r.next_line(f"'{marker} {m}' block header")
+def _read_block(path: Path, lines: list[str], pos: int, marker: str, m: int,
+                rows: int, cols: int) -> np.ndarray:
+    """The block whose header is ``lines[pos]``, as a ``rows`` x ``cols`` matrix."""
+    head = _line(path, lines, pos, f"'{marker} {m}' block header")
     parts = head.split()
     if len(parts) != 4 or parts[0] != marker or parts[1] != str(m):
-        raise ValueError(f"{r.path}: expected block '{marker} {m} {rows} {cols}', got {head!r}")
+        raise ValueError(f"{path}: expected block '{marker} {m} {rows} {cols}', got {head!r}")
     if (int(parts[2]), int(parts[3])) != (rows, cols):
-        raise ValueError(
-            f"{r.path}: block {marker} {m} declares {parts[2]}x{parts[3]}, "
-            f"dims require {rows}x{cols}"
-        )
-    start = r.pos
-    lines = [r.next_line_or_none() for _ in range(rows)]
-    if rows and None not in lines:
-        # One parse of the block.  A value loadtxt accepts is one that float
-        # reads alike, so only the spacing can differ: a double space, a tab
-        # between values, a ragged row or ``1_0`` make it refuse or return
-        # another shape, and the row-by-row read below decides and words it.
-        try:
-            w = np.loadtxt(lines, delimiter=" ", comments=None, ndmin=2)
-        except ValueError:
-            w = None
-        if w is not None and w.shape == (rows, cols):
+        raise ValueError(f"{path}: block {marker} {m} declares {parts[2]}x{parts[3]}, "
+                         f"dims require {rows}x{cols}")
+    body = lines[pos + 1 : pos + 1 + rows]
+    _line(path, lines, pos + rows, f"row {len(body)} of block {marker} {m}")  # before any parse
+    try:
+        w = np.loadtxt(body, comments=None, ndmin=2)
+    except ValueError as e:
+        refusal = e
+    else:
+        if w.shape == (rows, cols):
             return w
-    r.pos = start
-    w = np.empty((rows, cols))
-    for i in range(rows):
-        values = r.next_line(f"row {i} of block {marker} {m}").split()
+        refusal = "rows of another width"
+    # Word the refusal: a row's width, a value float refuses, else loadtxt's own.
+    for i, line in enumerate(body):
+        values = line.split()
         if len(values) != cols:
             raise ValueError(
-                f"{r.path}: block {marker} {m} row {i} has {len(values)} values, expected {cols}"
+                f"{path}: block {marker} {m} row {i} has {len(values)} values, expected {cols}"
             )
         try:
-            w[i] = [float(v) for v in values]
+            for v in values:
+                float(v)
         except ValueError as e:
-            raise ValueError(f"{r.path}: block {marker} {m} row {i}: {e}") from None
-    return w
+            raise ValueError(f"{path}: block {marker} {m} row {i}: {e}") from None
+    raise ValueError(f"{path}: block {marker} {m}: {refusal}")
 
 
-def _header_size(r: _Reader, what: str, text: str) -> int:
+def _header_size(path: Path, what: str, text: str) -> int:
     """A size read from the header: an integer of at least 1."""
     try:
         value = int(text)
     except ValueError:
-        raise ValueError(f"{r.path}: {what} must be an integer, got {text!r}") from None
+        raise ValueError(f"{path}: {what} must be an integer, got {text!r}") from None
     if value < 1:
-        raise ValueError(f"{r.path}: {what} must be >= 1, got {value}")
+        raise ValueError(f"{path}: {what} must be >= 1, got {value}")
     return value
 
 
 def load_model(path) -> LrnnModel:
     """Read an LRNN1 text file back into a constraint-checked model."""
-    r = _Reader(Path(path))
-    tag = r.next_line("format tag")
+    path = Path(path)
+    lines = [line for line in map(str.strip, path.read_text().splitlines()) if line]
+    tag = _line(path, lines, 0, "format tag")
     if tag != FORMAT_TAG:
-        raise ValueError(f"{r.path}: version tag mismatch, got {tag!r}, expected {FORMAT_TAG!r}")
-    depth_line = r.next_line("depth").split()
+        raise ValueError(f"{path}: version tag mismatch, got {tag!r}, expected {FORMAT_TAG!r}")
+    depth_line = _line(path, lines, 1, "depth").split()
     if len(depth_line) != 2 or depth_line[0] != "depth":
-        raise ValueError(f"{r.path}: malformed depth line {' '.join(depth_line)!r}")
-    depth = _header_size(r, "depth", depth_line[1])
-    dims_line = r.next_line("dims").split()
+        raise ValueError(f"{path}: malformed depth line {' '.join(depth_line)!r}")
+    depth = _header_size(path, "depth", depth_line[1])
+    dims_line = _line(path, lines, 2, "dims").split()
     if dims_line[0] != "dims" or len(dims_line) != depth + 2:
-        raise ValueError(f"{r.path}: dims line must list {depth + 1} sizes")
-    dims = [_header_size(r, "dims size", v) for v in dims_line[1:]]
-    mirror = dims[::-1]
-    encode = [_read_block(r, "W", m + 1, dims[m], dims[m + 1]) for m in range(depth)]
-    decode = [_read_block(r, "WB", m + 1, mirror[m], mirror[m + 1]) for m in range(depth)]
-    if r.next_line_or_none() is not None:
-        raise ValueError(f"{r.path}: trailing content after the final block")
+        raise ValueError(f"{path}: dims line must list {depth + 1} sizes")
+    dims = [_header_size(path, "dims size", v) for v in dims_line[1:]]
+    encode, decode, pos = [], [], 3
+    for marker, sizes, chain in (("W", dims, encode), ("WB", dims[::-1], decode)):
+        for m in range(depth):
+            chain.append(_read_block(path, lines, pos, marker, m + 1, sizes[m], sizes[m + 1]))
+            pos += 1 + sizes[m]
+    if pos < len(lines):
+        raise ValueError(f"{path}: trailing content after the final block")
     model = LrnnModel(encode, decode)
-    reject_violations(validate_constraints(model), f"{r.path}: stored model")
+    reject_violations(validate_constraints(model), f"{path}: stored model")
     return model

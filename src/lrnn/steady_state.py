@@ -151,8 +151,7 @@ def feed_forward_spec(model: LrnnModel, attributes) -> RnnNetworkSpec:
         raise ValueError(
             f"instance has {x.shape[0]} attributes but model expects {model.visible_dim}"
         )
-    if x.size and float(x.min()) < 0.0:
-        raise ValueError("attributes must be nonnegative")
+    as_matrix(np.atleast_2d(x), "attributes")  # finite and nonnegative
     sizes = model.encode_dims + model.decode_dims[1:]
     chain = list(model.encode_weights) + list(model.decode_weights)
     offsets = np.concatenate(([0], np.cumsum(sizes)))

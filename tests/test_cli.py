@@ -1,5 +1,7 @@
 """Command-line flows: training, evaluation, simulation, exit codes."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -362,6 +364,7 @@ EXIT_CASES = [
      _simulate("--events", "10", "--observe-every", "100", model="{tmp}/missing.lrnn"),
      EXIT_USAGE),
     ("missing data file", _train(data="{tmp}/missing.csv"), EXIT_DATA),
+    ("mistyped manifest setting", _train(data="{manifest}"), EXIT_DATA),
     ("attribute mismatch", _train(arch="5,2"), EXIT_DATA),
     ("model width mismatch", ["eval", "--model", "{model}", "--data", "{narrow}"], EXIT_DATA),
     ("missing model file", _simulate(model="{tmp}/missing.lrnn"), EXIT_DATA),
@@ -384,7 +387,10 @@ class TestExitCodes:
         assert main(train_args(csv_dataset, model)) == EXIT_OK
         narrow = tmp_path / "narrow.csv"
         narrow.write_text("1,2\n3,4\n")
-        return {"data": csv_dataset, "model": model, "narrow": narrow,
+        manifest = tmp_path / "m.json"  # "header" must be a JSON boolean
+        manifest.write_text(json.dumps({"d": {"path": str(csv_dataset), "format": "csv",
+                                              "header": "false"}}))
+        return {"data": csv_dataset, "model": model, "narrow": narrow, "manifest": manifest,
                 "tmp": tmp_path, "out": tmp_path / "out"}
 
     @pytest.mark.parametrize("argv,code", [c[1:] for c in EXIT_CASES],

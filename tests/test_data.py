@@ -1,6 +1,8 @@
 """Container parsing, normalization and minibatch iteration."""
 
 import json
+import re
+import struct
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -11,7 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrnn import Dataset, iter_minibatches, load_dataset
-from lrnn.data import _load_csv, _load_manifest, _normalize_unit_interval, _parse_bulk, _scan_csv
+from lrnn.data import (
+    IDX_IMAGE_MAGIC,
+    _load_csv,
+    _load_manifest,
+    _normalize_unit_interval,
+    _parse_bulk,
+    _scan_csv,
+)
 
 
 class TestLoadIdx:
@@ -43,6 +52,21 @@ class TestLoadIdx:
         rng = np.random.default_rng(0)
         path = idx_file(rng.integers(0, 256, (5, 4, 4)).astype(np.uint8))
         np.testing.assert_array_equal(load_dataset(path, "idx").x, load_dataset(path, "idx").x)
+
+    @pytest.mark.parametrize(
+        "count, rows, cols, message",
+        [
+            (-1, 2, 2, "IDX image count must be >= 1, got -1"),
+            (0, 2, 2, "IDX image count must be >= 1, got 0"),
+            (1, -2, -2, "IDX rows must be >= 1, got -2"),
+            (1, 2, 0, "IDX cols must be >= 1, got 0"),
+        ],
+    )
+    def test_header_fields_below_one_refused(self, tmp_path, count, rows, cols, message):
+        path = tmp_path / "bad.idx"
+        path.write_bytes(struct.pack(">iiii", IDX_IMAGE_MAGIC, count, rows, cols) + bytes(16))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            load_dataset(path, "idx")
 
 
 class TestDatasetRows:
@@ -370,6 +394,38 @@ class TestManifest:
         bad.write_text('{"x": {"path": "f.csv"}}')
         with pytest.raises(ValueError, match="format"):
             load_dataset(bad)
+
+    @pytest.mark.parametrize(
+        "setting, value, kind",
+        [
+            ("header", "false", "true or false"),
+            ("header", 0, "true or false"),
+            ("label_column", True, "an integer or null"),
+            ("label_column", "0", "an integer or null"),
+            ("label_column", 1.0, "an integer or null"),
+            ("delimiter", 59, "a one-character string"),
+            ("delimiter", ";;", "a one-character string"),
+            ("delimiter", "", "a one-character string"),
+            ("path", ["t.csv"], "a string"),
+            ("format", None, "a string"),
+        ],
+    )
+    def test_mistyped_setting_refused(self, tmp_path, setting, value, kind):
+        (tmp_path / "t.csv").write_text("a,b\n1,2\n3,4\n5,6\n")
+        entry = {"path": "t.csv", "format": "csv", setting: value}
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"t": entry}))
+        message = f"{manifest}: entry 't' setting {setting!r} must be {kind}, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_dataset(manifest)
+
+    def test_well_typed_settings_are_read(self, tmp_path):
+        (tmp_path / "t.csv").write_text("a;b;c\n1;2;x\n3;4;y\n5;8;z\n")
+        manifest = tmp_path / "m.json"
+        entry = {"path": "t.csv", "format": "csv", "delimiter": ";", "header": True,
+                 "label_column": -1}
+        manifest.write_text(json.dumps({"t": entry}))
+        np.testing.assert_array_equal(load_dataset(manifest).x, [[0, 0], [0.5, 1 / 3], [1, 1]])
 
     def test_load_dataset_dispatch(self, idx_file):
         path = idx_file(np.zeros((2, 3, 3), dtype=np.uint8))

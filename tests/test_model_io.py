@@ -1,9 +1,12 @@
 """Text model files: exact round trips and validation on load."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrnn import LrnnModel, forward, init_weights, load_model, save_model
 
@@ -118,6 +121,10 @@ LOAD_ERRORS = [
      "expected block 'W 1 1 1', got 'W 2 1 1'"),
     ("block header too short", "depth 1\ndims 1 1\nW 1 1\n0.5\n",
      "expected block 'W 1 1 1', got 'W 1 1'"),
+    ("value only float reads", "depth 1\ndims 1 2\nW 1 1 2\n0.5 0.1_5\n",
+     "block W 1: could not convert string '0.1_5'"),
+    ("every row of the same wrong width", "depth 1\ndims 2 2\nW 1 2 2\n0.1 0.2 0.3\n0.4 0.5 0.6\n",
+     "block W 1 row 0 has 3 values, expected 2"),
 ]
 
 
@@ -129,6 +136,53 @@ def test_load_error_message(tmp_path, body, message):
     with pytest.raises(ValueError, match=re.escape(message)) as excinfo:
         load_model(f)
     assert str(excinfo.value).startswith(f"{f}: ")
+
+
+class TestDeclaredSizes:
+    def test_size_beyond_the_file_refused_without_allocating_it(self, tmp_path):
+        """A header's sizes are checked against the lines present before any parse."""
+        f = tmp_path / "m.lrnn"
+        f.write_text("LRNN1\ndepth 1\ndims 2000000 1\nW 1 2000000 1\n0.5\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="unexpected end of file, expected row 1 of block W 1"):
+                load_model(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+
+_SPACES = st.sampled_from([" ", "  ", "\t", " \t ", "\t\t"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    arch=st.lists(st.integers(1, 5), min_size=2, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_respaced_file_loads_bit_identical(tmp_path_factory, arch, seed, data):
+    """Tabs, runs of spaces and blank lines change no weight."""
+    model = init_weights(arch, seed=seed)
+    rng = np.random.default_rng(seed)
+    model = LrnnModel(  # small exponents too, so the text has e-notation
+        [w * 2.0 ** -rng.integers(0, 60, w.shape) for w in model.encode_weights],
+        [w * 2.0 ** -rng.integers(0, 60, w.shape) for w in model.decode_weights],
+    )
+    path = tmp_path_factory.mktemp("respaced") / "m.lrnn"
+    save_model(model, path)
+    respaced = []
+    for line in path.read_text().splitlines():
+        respaced += [""] * data.draw(st.integers(0, 2))
+        values = line.split()
+        text = values[0] + "".join(data.draw(_SPACES) + v for v in values[1:])
+        respaced.append(data.draw(_SPACES) + text + data.draw(_SPACES))
+    path.write_text("\n".join(respaced) + "\n")
+    loaded = load_model(path)
+    for a, b in zip(loaded.encode_weights + loaded.decode_weights,
+                    model.encode_weights + model.decode_weights):
+        np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 class TestLoadValidation:

@@ -123,3 +123,6 @@ class TestFeedForwardEquivalence:
             feed_forward_spec(model, [0.1, 0.2])
         with pytest.raises(ValueError, match="nonnegative"):
             feed_forward_spec(model, [-0.1, 0.2, 0.3, 0.4])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="attributes has NaN or infinite entries"):
+                feed_forward_spec(model, [0.1, bad, 0.3, 0.4])
