@@ -26,7 +26,7 @@ import os
 import sys
 
 from . import data as data_mod
-from .model import LrnnModel, chunk_output, dataset_error, forward, rows_per_chunk
+from .model import LrnnModel, _layers, dataset_error, forward, rows_per_chunk
 from .model_io import _format_rows, load_model, save_model
 
 # ``training`` and ``simulation`` are imported by the commands that run them,
@@ -194,7 +194,9 @@ def cmd_eval(args) -> None:
     if args.dump:
         with open(args.dump, "w") as f:
             for chunk in data_mod.iter_minibatches(dataset, rows_per_chunk(*model.encode_dims)):
-                f.writelines(line + "\n" for line in _format_rows(chunk_output(model, chunk), ","))
+                for q in _layers(model, chunk):
+                    pass  # only the latest layer is kept
+                f.writelines(line + "\n" for line in _format_rows(q, ","))
     print(f"reconstruction error: {err:.17g}")
 
 

@@ -242,6 +242,8 @@ def _scan_csv(path, delimiter: str, has_header: bool, label_column: int | None) 
                     ) from None
             if width in (None, -1):
                 width = len(record)
+                if not width:
+                    raise ValueError(f"{path}: no data column besides label column {label_column}")
             elif len(record) != width:
                 raise ValueError(
                     f"{path}:{line_no}: ragged row of width {len(record)}, expected {width}"
@@ -302,22 +304,19 @@ def iter_minibatches(
     distinct permutations across epochs from one stream.  Each block is
     read on its own, the shuffled ones through their slice of the
     permutation, so no permuted copy of the dataset is made.  ``d`` is a
-    :class:`Dataset` (read with :meth:`Dataset.rows`) or an array.
+    :class:`Dataset` or an array, which is checked as a :class:`Dataset`
+    checks it; either is read with :meth:`Dataset.rows`.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    if isinstance(d, Dataset):
-        n, rows = d.instance_count, d.rows
-    else:
-        x = np.asarray(d, dtype=np.float64)
-        n, rows = x.shape[0], x.__getitem__
+    d = _as_dataset(d)
     order = None
     if shuffle:
         rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-        order = rng.permutation(n)
-    for start in range(0, n, batch_size):
+        order = rng.permutation(d.instance_count)
+    for start in range(0, d.instance_count, batch_size):
         stop = start + batch_size
-        yield rows(slice(start, stop) if order is None else order[start:stop])
+        yield d.rows(slice(start, stop) if order is None else order[start:stop])
 
 
 def load_dataset(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -93,10 +94,6 @@ class LrnnModel:
     def visible_dim(self) -> int:
         return self.encode_weights[0].shape[0]
 
-    @property
-    def code_dim(self) -> int:
-        return self.encode_weights[-1].shape[1]
-
 
 @dataclass
 class ActivationState:
@@ -116,6 +113,20 @@ class ActivationState:
         return self.q_dec[-1]
 
 
+def _layers(model: LrnnModel, x: np.ndarray) -> Iterator[np.ndarray]:
+    """Every layer of the pass of a checked float64 batch ``x``, visual layer first.
+
+    The visual layer is ``min(x, 1)`` and each later one ``min(previous @ W, 1)``,
+    clamped where its product lies; a yielded layer is never written again.
+    """
+    q = clamp_unit(x)
+    yield q
+    for w in model.encode_weights + model.decode_weights:
+        q = q @ w
+        np.minimum(q, 1.0, out=q)
+        yield q
+
+
 def forward(model: LrnnModel, x) -> ActivationState:
     """Propagate a nonnegative batch ``x`` (rows = instances) through the model.
 
@@ -127,17 +138,8 @@ def forward(model: LrnnModel, x) -> ActivationState:
         raise ValueError(
             f"input has {x.shape[1]} attributes but model expects {model.visible_dim}"
         )
-    q_hat = clamp_unit(x)
-    q_enc: list[np.ndarray] = []
-    q = q_hat
-    for w in model.encode_weights:
-        q = clamp_unit(q @ w)
-        q_enc.append(q)
-    q_dec: list[np.ndarray] = []
-    for w in model.decode_weights:
-        q = clamp_unit(q @ w)
-        q_dec.append(q)
-    return ActivationState(q_hat=q_hat, q_enc=q_enc, q_dec=q_dec)
+    q_hat, *layers = _layers(model, x)
+    return ActivationState(q_hat, layers[: model.depth], layers[model.depth :])
 
 
 def reconstruction_error(x, q_dec_final) -> float:
@@ -151,34 +153,23 @@ def reconstruction_error(x, q_dec_final) -> float:
     return float(np.mean(d))
 
 
-def chunk_output(model: LrnnModel, chunk: np.ndarray) -> np.ndarray:
-    """``forward(model, chunk).output`` to the bit, for a checked float64 ``chunk``,
-    without keeping the other layers: each layer's product is clamped where it lies."""
-    q = clamp_unit(chunk)
-    for w in model.encode_weights + model.decode_weights:
-        q = q @ w
-        np.minimum(q, 1.0, out=q)
-    return q
-
-
-def dataset_error(model: LrnnModel, x, chunk_rows: int | None = None) -> float:
+def dataset_error(model: LrnnModel, x) -> float:
     """Reconstruction MSE over a whole dataset, evaluated in blocks of rows.
 
     ``x`` is a :class:`Dataset` or an array; an array is validated as
     :func:`forward` validates it.  Equivalent to
     ``reconstruction_error(x, forward(model, x).output)``, but each block
-    of ``chunk_rows`` rows (by default as many as :data:`CHUNK_VALUES`
-    allows at the model's widest layer) is read with :meth:`Dataset.rows`
-    and evaluated in place: every layer's product is clamped where it lies
-    and the last one becomes the squared error.  Each row's squared error
-    is summed on its own and the row sums are added exactly rounded
-    (``math.fsum``), so the blocks bound the working set, a few
-    block-sized arrays whatever the size of the dataset, and do not group
-    the sum.  They can still move a row's output bits: BLAS takes other
-    kernels for short blocks, so a row in a short last block may differ
-    in its last bit from the same row in a full one, and the last digit
-    of the error can depend on the row count.  ``lrnn train`` and
-    ``lrnn eval`` use the same blocks and print the same error.
+    of as many rows as :data:`CHUNK_VALUES` allows at the model's widest
+    layer is read with :meth:`Dataset.rows` and run through the layers
+    keeping only the latest one, which becomes the squared error in place.
+    Each row's squared error is summed on its own and the row sums are
+    added exactly rounded (``math.fsum``), so the blocks bound the working
+    set, a few block-sized arrays whatever the size of the dataset, and do
+    not group the sum.  They can still move a row's output bits: BLAS
+    takes other kernels for short blocks, so a row in a short last block
+    may differ in its last bit from the same row in a full one, and the
+    last digit of the error can depend on the row count.  ``lrnn train``
+    and ``lrnn eval`` use the same blocks and print the same error.
     """
     d = _as_dataset(x)
     if d.instance_count == 0:
@@ -187,12 +178,11 @@ def dataset_error(model: LrnnModel, x, chunk_rows: int | None = None) -> float:
         raise ValueError(
             f"input has {d.attribute_count} attributes but model expects {model.visible_dim}"
         )
-    if chunk_rows is None:
-        chunk_rows = rows_per_chunk(*model.encode_dims)
     row_sums = np.empty(d.instance_count)
     start = 0
-    for chunk in iter_minibatches(d, chunk_rows):
-        q = chunk_output(model, chunk)
+    for chunk in iter_minibatches(d, rows_per_chunk(*model.encode_dims)):
+        for q in _layers(model, chunk):
+            pass  # only the latest layer is kept
         np.subtract(chunk, q, out=q)
         np.multiply(q, q, out=q)
         np.sum(q, axis=1, out=row_sums[start : start + len(q)])

@@ -63,7 +63,8 @@ def _read_block(path: Path, lines: list[str], pos: int, marker: str, m: int,
     parts = head.split()
     if len(parts) != 4 or parts[0] != marker or parts[1] != str(m):
         raise ValueError(f"{path}: expected block '{marker} {m} {rows} {cols}', got {head!r}")
-    if (int(parts[2]), int(parts[3])) != (rows, cols):
+    size = f"block {marker} {m} size"
+    if (_header_size(path, size, parts[2]), _header_size(path, size, parts[3])) != (rows, cols):
         raise ValueError(f"{path}: block {marker} {m} declares {parts[2]}x{parts[3]}, "
                          f"dims require {rows}x{cols}")
     body = lines[pos + 1 : pos + 1 + rows]

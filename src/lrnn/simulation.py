@@ -75,11 +75,11 @@ class SimNetwork:
     """One instance fed into one model, as a layered spiking network.
 
     ``layer_sizes`` lists the widths along the chain (visual, encode
-    layers, decode layers); ``weight_chain`` holds one routing matrix per
-    consecutive layer pair, checked finite and nonnegative with rows
-    summing to at most 1.  ``leak[i]`` is the probability that a spike
-    fired by neuron i leaves the network; neurons of the final layer route
-    nowhere, so their spikes always leave.
+    layers, decode layers) and ``layer_names`` names them; ``weight_chain``
+    holds one routing matrix per consecutive layer pair, checked finite and
+    nonnegative with rows summing to at most 1.  A spike fired by neuron i
+    leaves the network with probability 1 minus its row's sum; neurons of
+    the final layer route nowhere, so their spikes always leave.
     """
 
     def __init__(
@@ -87,7 +87,7 @@ class SimNetwork:
         layer_sizes: Sequence[int],
         weight_chain: Sequence[np.ndarray],
         arrival_rates,
-        layer_names: Sequence[str] | None = None,
+        layer_names: Sequence[str],
     ):
         self.layer_sizes = [int(s) for s in layer_sizes]
         if len(weight_chain) != len(self.layer_sizes) - 1:
@@ -95,8 +95,6 @@ class SimNetwork:
                 f"{len(self.layer_sizes)} layers need {len(self.layer_sizes) - 1} "
                 f"routing matrices, got {len(weight_chain)}"
             )
-        if layer_names is None:
-            layer_names = [f"layer{i}" for i in range(len(self.layer_sizes))]
         self.layer_names = list(layer_names)
         self.layer_offsets = [0]
         for s in self.layer_sizes:
@@ -112,7 +110,6 @@ class SimNetwork:
         self.arrival_rates = as_matrix(np.atleast_2d(x), name).ravel()
 
         self.weight_chain: list[np.ndarray] = []
-        leak = np.ones(self.n_neurons)
         for layer, w in enumerate(weight_chain):
             name = (
                 f"routing matrix {layer} "
@@ -125,12 +122,7 @@ class SimNetwork:
             row_sums = w.sum(axis=1)
             if row_sums.size and float(row_sums.max()) > 1.0 + ROW_SUM_SLACK:
                 raise ValueError(f"{name} has a row sum above 1")
-            leak[self.layer_slice(layer)] = np.maximum(0.0, 1.0 - row_sums)
             self.weight_chain.append(w)
-        self.leak = leak
-
-    def layer_slice(self, layer: int) -> slice:
-        return slice(self.layer_offsets[layer], self.layer_offsets[layer + 1])
 
 
 def compile_sim(model: LrnnModel, instance) -> SimNetwork:

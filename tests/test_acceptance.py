@@ -18,6 +18,7 @@ from _pytest.outcomes import Skipped
 
 import conftest
 from oracles import scalar_update_decode, scalar_update_encode
+from synthetic import mnist_like
 from lrnn import (
     Dataset,
     LrnnModel,
@@ -223,6 +224,34 @@ def test_criterion_7c_mnist_image_simulation(request):
         diffs = compare(est, forward(model, instance.reshape(1, -1)))
         worst = max(d.max_abs_diff for d in diffs)
         assert worst <= 0.05, [(d.layer, d.max_abs_diff) for d in diffs]
+
+
+@pytest.fixture(scope="module")
+def synthetic_image_model():
+    """A 784->100 model trained briefly on MNIST-shaped synthetic images, and one image."""
+    d = Dataset(mnist_like(seed=57, rows=1000, side=28))
+    model, _ = train(d, [784, 100], TrainConfig(batch_size=100, max_iterations=100, seed=5))
+    return model, d.rows(0)
+
+
+def test_criterion_6_twin_1668_neurons(synthetic_image_model):
+    """Criterion 6 at the size of criterion 7c's network, on synthetic data."""
+    model, instance = synthetic_image_model
+    spec = feed_forward_spec(model, instance)
+    assert spec.n_neurons == 1668
+    state = forward(model, instance.reshape(1, -1))
+    numeric = np.concatenate([state.q_hat.ravel(), state.q_enc[0].ravel(), state.q_dec[0].ravel()])
+    np.testing.assert_allclose(solve_steady_state(spec), numeric, atol=1e-10)
+
+
+def test_criterion_7c_twin_synthetic_image(synthetic_image_model):
+    """Criterion 7c's check and tolerance, with synthetic images in place of MNIST."""
+    model, instance = synthetic_image_model
+    net = compile_sim(model, instance)
+    assert net.n_neurons == 1668
+    est = run(net, 1_000_000, observe_every=1000, seed=11)
+    diffs = compare(est, forward(model, instance.reshape(1, -1)))
+    assert all(d.max_abs_diff <= 0.05 for d in diffs), [(d.layer, d.max_abs_diff) for d in diffs]
 
 
 def test_criterion_8_determinism(tmp_path):

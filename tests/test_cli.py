@@ -366,6 +366,8 @@ EXIT_CASES = [
     ("missing data file", _train(data="{tmp}/missing.csv"), EXIT_DATA),
     ("mistyped manifest setting", _train(data="{manifest}"), EXIT_DATA),
     ("attribute mismatch", _train(arch="5,2"), EXIT_DATA),
+    ("no data column besides the label", _train("--delimiter", ";", "--label-column", "0"),
+     EXIT_DATA),
     ("model width mismatch", ["eval", "--model", "{model}", "--data", "{narrow}"], EXIT_DATA),
     ("missing model file", _simulate(model="{tmp}/missing.lrnn"), EXIT_DATA),
     ("bad model file", _simulate(model="{data}"), EXIT_DATA),

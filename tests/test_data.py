@@ -189,6 +189,17 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="no values"):
             load_dataset(f)
 
+    def test_no_data_column_left_rejected(self, tmp_path):
+        f = tmp_path / "t.csv"
+        f.write_text("a\nb\nc\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(f))}: no data column"):
+            load_dataset(f, label_column=0)
+        manifest = tmp_path / "m.json"  # a newline delimiter leaves one cell per row
+        entry = {"path": "t.csv", "format": "csv", "delimiter": "\n", "label_column": -1}
+        manifest.write_text(json.dumps({"t": entry}))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(f))}: no data column"):
+            load_dataset(manifest)
+
     def test_alternate_delimiter(self, tmp_path):
         f = tmp_path / "t.tsv"
         f.write_text("1\t2\n3\t4\n")
@@ -354,6 +365,14 @@ class TestIterMinibatches:
     def test_bad_batch_size(self):
         with pytest.raises(ValueError, match="batch_size"):
             list(iter_minibatches(np.ones((3, 1)), 0))
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.nan, "NaN or infinite"), (np.inf, "NaN or infinite"), (-1.0, "nonnegative")])
+    def test_array_checked_as_a_dataset(self, bad, message):
+        x = np.ones((3, 2))
+        x[1, 0] = bad
+        with pytest.raises(ValueError, match=message):
+            list(iter_minibatches(x, 2))
 
     def test_shuffle_reads_the_dataset_rows_in_permuted_order(self):
         pixels = np.random.default_rng(5).integers(0, 256, (23, 3)).astype(np.uint8)

@@ -18,7 +18,8 @@ from lrnn import (
     reconstruction_error,
     validate_constraints,
 )
-from lrnn.model import CHUNK_VALUES, chunk_output, rows_per_chunk
+import lrnn.model
+from lrnn.model import CHUNK_VALUES, rows_per_chunk
 from oracles import dataset_error_reference
 
 nonneg_matrices = arrays(
@@ -53,7 +54,6 @@ class TestModelStructure:
         assert model.encode_dims == [4, 3, 2]
         assert model.decode_dims == [2, 3, 4]
         assert model.visible_dim == 4
-        assert model.code_dim == 2
 
     def test_broken_encode_chain_rejected(self):
         with pytest.raises(ValueError, match="chain"):
@@ -152,14 +152,15 @@ class TestReconstructionError:
             d = x - q
             assert reconstruction_error(x, q) == float(np.mean(d * d))
 
-    def test_dataset_error_matches_forward(self):
+    def test_dataset_error_matches_forward(self, monkeypatch):
         rng = np.random.default_rng(1)
         model = init_weights([6, 3], seed=1)
         x = rng.random((50, 6))
         whole = reconstruction_error(x, forward(model, x).output)
-        assert dataset_error(model, x, chunk_rows=7) == pytest.approx(whole, rel=1e-12)
+        monkeypatch.setattr(lrnn.model, "CHUNK_VALUES", 7 * 6)  # blocks of 7 rows
+        assert dataset_error(model, x) == pytest.approx(whole, rel=1e-12)
 
-    def test_dataset_error_bit_identical_to_forward_chunks(self):
+    def test_dataset_error_bit_identical_to_forward_chunks(self, monkeypatch):
         rng = np.random.default_rng(2)
         pixels = rng.integers(0, 256, (4097, 12)).astype(np.uint8)  # a one-row last chunk
         floats = pixels / 255.0
@@ -168,18 +169,27 @@ class TestReconstructionError:
             model = init_weights(dims, seed=3)
             for x in (Dataset(pixels), Dataset(floats), floats, wide):
                 rows = x.x if isinstance(x, Dataset) else x
-                for chunk_rows in (4096, 512, 7, 1):
-                    want = dataset_error_reference(model, rows, chunk_rows)
-                    assert dataset_error(model, x, chunk_rows) == want
                 want = dataset_error_reference(model, rows, rows_per_chunk(*dims))
                 assert dataset_error(model, x) == want
+                for chunk_rows in (4096, 512, 7, 1):
+                    with monkeypatch.context() as m:
+                        m.setattr(lrnn.model, "CHUNK_VALUES", chunk_rows * 12)
+                        got = dataset_error(model, x)
+                    assert got == dataset_error_reference(model, rows, chunk_rows)
 
-    def test_chunk_output_is_forward_output(self):
+    def test_forward_layers_are_the_plain_clamped_chain(self):
+        """Clamping each product where it lies gives the bits of ``min(q @ W, 1)``."""
         rng = np.random.default_rng(5)
         x = rng.random((40, 12)) * 1.5  # entries above 1, clamped by the visual layer
         for dims in ([12, 5], [12, 6, 3]):
             model = init_weights(dims, seed=4)
-            assert chunk_output(model, x).tobytes() == forward(model, x).output.tobytes()
+            state = forward(model, x)
+            q = np.minimum(x, 1.0)
+            assert state.q_hat.tobytes() == q.tobytes()
+            for w, got in zip(model.encode_weights + model.decode_weights,
+                              state.q_enc + state.q_dec):
+                q = np.minimum(q @ w, 1.0)
+                assert got.tobytes() == q.tobytes()
 
     def test_dataset_error_refuses_wrong_width(self):
         with pytest.raises(ValueError, match="attributes"):

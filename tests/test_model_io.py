@@ -121,6 +121,8 @@ LOAD_ERRORS = [
      "expected block 'W 1 1 1', got 'W 2 1 1'"),
     ("block header too short", "depth 1\ndims 1 1\nW 1 1\n0.5\n",
      "expected block 'W 1 1 1', got 'W 1 1'"),
+    ("non-integer block size", "depth 1\ndims 1 1\nW 1 x 1\n0.5\n",
+     "block W 1 size must be an integer, got 'x'"),
     ("value only float reads", "depth 1\ndims 1 2\nW 1 1 2\n0.5 0.1_5\n",
      "block W 1: could not convert string '0.1_5'"),
     ("every row of the same wrong width", "depth 1\ndims 2 2\nW 1 2 2\n0.1 0.2 0.3\n0.4 0.5 0.6\n",

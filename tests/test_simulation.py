@@ -31,7 +31,8 @@ def scalar_model(w=0.8, wb=0.9):
 class TestCompileSim:
     def test_leak_probabilities_by_hand(self):
         net = compile_sim(scalar_model(), [0.7])
-        np.testing.assert_allclose(net.leak, [0.2, 0.1, 1.0])
+        leak = [1.0 - (cum[-1] if cum else 0.0) for cum in routing_lists(net)[1]]
+        np.testing.assert_allclose(leak, [0.2, 0.1, 1.0])
         assert net.layer_names == ["visual", "enc1", "dec1"]
         assert net.layer_sizes == [1, 1, 1]
 
