@@ -47,6 +47,7 @@ given (network, event budget, seed).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -74,41 +75,27 @@ class DeadNetworkError(RuntimeError):
 class SimNetwork:
     """One instance fed into one model, as a layered spiking network.
 
-    ``layer_sizes`` lists the widths along the chain (visual, encode
-    layers, decode layers) and ``layer_names`` names them; ``weight_chain``
-    holds one routing matrix per consecutive layer pair, checked finite and
-    nonnegative with rows summing to at most 1.  A spike fired by neuron i
-    leaves the network with probability 1 minus its row's sum; neurons of
-    the final layer route nowhere, so their spikes always leave.
+    ``arrival_rates`` feed the visual layer, ``weight_chain`` holds one
+    routing matrix per consecutive layer pair (visual, encode layers, decode
+    layers), checked finite and nonnegative with rows summing to at most 1,
+    and ``layer_names`` names the layers; the widths are read off the rates
+    and each matrix's columns.  A spike fired by neuron i leaves the network
+    with probability 1 minus its row's sum; neurons of the final layer route
+    nowhere, so their spikes always leave.
     """
 
     def __init__(
-        self,
-        layer_sizes: Sequence[int],
-        weight_chain: Sequence[np.ndarray],
-        arrival_rates,
-        layer_names: Sequence[str],
+        self, weight_chain: Sequence[np.ndarray], arrival_rates, layer_names: Sequence[str]
     ):
-        self.layer_sizes = [int(s) for s in layer_sizes]
-        if len(weight_chain) != len(self.layer_sizes) - 1:
-            raise ValueError(
-                f"{len(self.layer_sizes)} layers need {len(self.layer_sizes) - 1} "
-                f"routing matrices, got {len(weight_chain)}"
-            )
         self.layer_names = list(layer_names)
-        self.layer_offsets = [0]
-        for s in self.layer_sizes:
-            self.layer_offsets.append(self.layer_offsets[-1] + s)
-        self.n_neurons = self.layer_offsets[-1]
-
-        x = np.asarray(arrival_rates, dtype=np.float64).ravel()
-        if x.shape[0] != self.layer_sizes[0]:
+        if len(self.layer_names) != len(weight_chain) + 1:
             raise ValueError(
-                f"{x.shape[0]} arrival rates for a visual layer of {self.layer_sizes[0]}"
+                f"{len(weight_chain)} routing matrices need {len(weight_chain) + 1} "
+                f"layer names, got {len(self.layer_names)}"
             )
         name = f"arrival-rate vector of layer {self.layer_names[0]}"
-        self.arrival_rates = as_matrix(np.atleast_2d(x), name).ravel()
-
+        self.arrival_rates = as_matrix(np.reshape(arrival_rates, (1, -1)), name)[0]
+        self.layer_sizes = [self.arrival_rates.shape[0]]
         self.weight_chain: list[np.ndarray] = []
         for layer, w in enumerate(weight_chain):
             name = (
@@ -116,26 +103,30 @@ class SimNetwork:
                 f"({self.layer_names[layer]} -> {self.layer_names[layer + 1]})"
             )
             w = as_matrix(w, name)
-            expect = (self.layer_sizes[layer], self.layer_sizes[layer + 1])
-            if w.shape != expect:
-                raise ValueError(f"{name} has shape {w.shape}, expected {expect}")
+            if w.shape[0] != self.layer_sizes[-1]:
+                raise ValueError(f"{name} has {w.shape[0]} rows, expected {self.layer_sizes[-1]}")
             row_sums = w.sum(axis=1)
             if row_sums.size and float(row_sums.max()) > 1.0 + ROW_SUM_SLACK:
                 raise ValueError(f"{name} has a row sum above 1")
             self.weight_chain.append(w)
+            self.layer_sizes.append(w.shape[1])
+        self.layer_offsets = [0, *accumulate(self.layer_sizes)]
+        self.n_neurons = self.layer_offsets[-1]
 
 
 def compile_sim(model: LrnnModel, instance) -> SimNetwork:
     """Build the spiking network for ``model`` driven by one instance's attributes."""
     reject_violations(validate_constraints(model))
-    sizes = model.encode_dims + model.decode_dims[1:]
-    chain = list(model.encode_weights) + list(model.decode_weights)
+    if np.size(instance) != model.visible_dim:
+        raise ValueError(
+            f"instance has {np.size(instance)} attributes but model expects {model.visible_dim}"
+        )
     names = (
         ["visual"]
         + [f"enc{m + 1}" for m in range(model.depth)]
         + [f"dec{m + 1}" for m in range(model.depth)]
     )
-    return SimNetwork(sizes, chain, instance, names)
+    return SimNetwork(model.encode_weights + model.decode_weights, instance, names)
 
 
 @dataclass
@@ -156,13 +147,7 @@ class QEstimate:
         return self.mean_potential / (1.0 + self.mean_potential)
 
     def per_layer(self) -> list[np.ndarray]:
-        q = self.q
-        out = []
-        offset = 0
-        for size in self.layer_sizes:
-            out.append(q[offset : offset + size])
-            offset += size
-        return out
+        return np.split(self.q, np.cumsum(self.layer_sizes)[:-1])
 
     @classmethod
     def zeros(cls, net: SimNetwork) -> "QEstimate":

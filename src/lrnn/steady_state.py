@@ -18,6 +18,7 @@ import numpy as np
 
 from .data import as_matrix
 from .model import ROW_SUM_SLACK, LrnnModel, clamp_unit
+from .simulation import compile_sim
 
 #: Consecutive direction reversals of the update before damping kicks in.
 _OSCILLATION_WINDOW = 100
@@ -143,29 +144,15 @@ def feed_forward_spec(model: LrnnModel, attributes) -> RnnNetworkSpec:
 
     All firing rates are 1, so every weight is directly a routing
     probability; the instance's attribute values become the external
-    excitatory arrival rates of the visual neurons.  Solving the returned
-    spec reproduces :func:`lrnn.model.forward` neuron by neuron.
+    excitatory arrival rates of the visual neurons.  The layout is
+    :func:`lrnn.simulation.compile_sim`'s, with its checks.  Solving the
+    returned spec reproduces :func:`lrnn.model.forward` neuron by neuron.
     """
-    x = np.asarray(attributes, dtype=np.float64).ravel()
-    if x.shape[0] != model.visible_dim:
-        raise ValueError(
-            f"instance has {x.shape[0]} attributes but model expects {model.visible_dim}"
-        )
-    as_matrix(np.atleast_2d(x), "attributes")  # finite and nonnegative
-    sizes = model.encode_dims + model.decode_dims[1:]
-    chain = list(model.encode_weights) + list(model.decode_weights)
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    n = int(offsets[-1])
+    net = compile_sim(model, attributes)
+    n, offsets = net.n_neurons, net.layer_offsets
     p_plus = np.zeros((n, n))
-    for layer, w in enumerate(chain):
-        r0, r1 = offsets[layer], offsets[layer + 1]
-        p_plus[r0:r1, r1 : r1 + w.shape[1]] = w
+    for layer, w in enumerate(net.weight_chain):
+        p_plus[offsets[layer] : offsets[layer + 1], offsets[layer + 1] : offsets[layer + 2]] = w
     lam_plus = np.zeros(n)
-    lam_plus[: x.shape[0]] = x
-    return RnnNetworkSpec(
-        rates=np.ones(n),
-        p_plus=p_plus,
-        p_minus=np.zeros((n, n)),
-        lam_plus=lam_plus,
-        lam_minus=np.zeros(n),
-    )
+    lam_plus[: net.layer_sizes[0]] = net.arrival_rates
+    return RnnNetworkSpec(np.ones(n), p_plus, np.zeros((n, n)), lam_plus, np.zeros(n))

@@ -410,9 +410,9 @@ def _fit(x: Dataset, model, first, cfg, curve, observer) -> None:
 
 
 def _code(x: Dataset, w: np.ndarray) -> Dataset:
-    """The clamped activations ``min(x @ w, 1)`` of every row, a chunk of rows at a time."""
+    """The encode layer ``min(min(x, 1) @ w, 1)`` of every row, a chunk of rows at a time."""
     chunks = iter_minibatches(x, rows_per_chunk(*w.shape))
-    return Dataset(np.concatenate([clamp_unit(c @ w) for c in chunks]))
+    return Dataset(np.concatenate([clamp_unit(clamp_unit(c) @ w) for c in chunks]))
 
 
 def train(

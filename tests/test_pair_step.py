@@ -255,3 +255,20 @@ def test_step_outputs_need_no_clamp(case):
     so the step clamps neither."""
     _, _, h, q = _pair_step(*case)
     assert h.max() <= 1.0 and q.max() <= 1.0
+
+
+def objective(a, w, wb):
+    r = a - (a @ w) @ wb
+    return float(np.sum(r * r))
+
+
+@given(pair_cases())
+@settings(max_examples=100, deadline=None)
+def test_each_rule_alone_descends(case):
+    """With the other weights fixed, neither rule raises ||A - A W WB||²_F:
+    Lee and Seung's auxiliary-function argument, on both forms of each rule."""
+    a, w, wb = case
+    model = LrnnModel([w], [wb])
+    bound = objective(a, w, wb) * (1.0 + 1e-9)
+    assert objective(a, update_encode(model, 1, a), wb) <= bound
+    assert objective(a, w, update_decode(model, 1, a)) <= bound

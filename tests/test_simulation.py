@@ -55,7 +55,7 @@ class TestCompileSim:
     def test_non_finite_arrival_rates_rejected(self):
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="layer visual has NaN or infinite"):
-                SimNetwork([2], [], [0.5, bad], ["visual"])
+                SimNetwork([], [0.5, bad], ["visual"])
             with pytest.raises(ValueError, match="layer visual has NaN or infinite"):
                 compile_sim(scalar_model(), [bad])
 
@@ -63,7 +63,24 @@ class TestCompileSim:
         for bad in (np.nan, np.inf):
             w = np.array([[bad, 0.1]])
             with pytest.raises(ValueError, match=r"visual -> enc1\) has NaN or infinite"):
-                SimNetwork([1, 2], [w], [0.5], ["visual", "enc1"])
+                SimNetwork([w], [0.5], ["visual", "enc1"])
+
+    def test_sizes_read_off_the_chain(self):
+        net = compile_sim(init_weights([6, 4, 3], seed=0), np.full(6, 0.5))
+        assert net.layer_sizes == [6, 4, 3, 4, 6]
+        assert net.layer_offsets == [0, 6, 10, 13, 17, 23]
+        assert net.n_neurons == 23
+        assert net.layer_names == ["visual", "enc1", "enc2", "dec1", "dec2"]
+
+    def test_names_and_rows_checked_against_the_chain(self):
+        w = np.array([[0.5]])
+        for names in (["visual"], ["visual", "enc1", "x"]):
+            with pytest.raises(ValueError, match="1 routing matrices need 2 layer names"):
+                SimNetwork([w], [0.5], names)
+        with pytest.raises(ValueError, match=r"matrix 1 \(enc1 -> dec1\) has 1 rows, expected 2"):
+            SimNetwork([np.full((1, 2), 0.4), w], [0.5], ["visual", "enc1", "dec1"])
+        with pytest.raises(ValueError, match="instance has 2 attributes but model expects 1"):
+            compile_sim(scalar_model(), [0.5, 0.5])
 
     def test_routing_tables_compressed(self):
         w = np.array([[0.3, 0.0, 0.4]])
@@ -76,13 +93,13 @@ class TestCompileSim:
 
 class TestStepEvent:
     def test_only_possible_event_is_arrival(self):
-        net = SimNetwork([1], [], [1.0], ["visual"])
+        net = SimNetwork([], [1.0], ["visual"])
         state = step_event(net, new_state(net, seed=0))
         assert state.potentials == [1]
         assert state.arrival_count == 1 and state.firing_count == 0
 
     def test_pure_leak_firing(self):
-        net = SimNetwork([1], [], [1.0], ["visual"])
+        net = SimNetwork([], [1.0], ["visual"])
         state = new_state(net, seed=0)
         step_event(net, state)  # arrival, potential 1
         # drive until the neuron fires; leak is 1.0 so nothing propagates
@@ -91,7 +108,7 @@ class TestStepEvent:
         assert state.potentials[0] == state.arrival_count - state.firing_count
 
     def test_dead_network(self):
-        net = SimNetwork([1], [], [0.0], ["visual"])
+        net = SimNetwork([], [0.0], ["visual"])
         with pytest.raises(DeadNetworkError):
             step_event(net, new_state(net, seed=0))
 
@@ -106,7 +123,7 @@ class TestStepEvent:
     def test_two_category_race_frequencies(self):
         # from potential 1 with x=0.5 the next event is an arrival with
         # probability 1/3 and a firing with probability 2/3
-        net = SimNetwork([1], [], [0.5], ["visual"])
+        net = SimNetwork([], [0.5], ["visual"])
         counts = {"arrival": 0, "fire": 0}
         state = new_state(net, seed=0)  # one stream of draws serves every trial
         for trial in range(100_000):
@@ -171,7 +188,7 @@ class TestRun:
 
     def test_isolated_neuron_occupancy_oracle(self):
         # M/M/1 with arrival 0.5 and service 1: busy probability is 0.5
-        net = SimNetwork([1], [], [0.5], ["visual"])
+        net = SimNetwork([], [0.5], ["visual"])
         est = run(net, 1_000_000, observe_every=1000, seed=0)
         assert est.observation_count == 1000
         assert abs(est.q[0] - 0.5) <= 0.02
@@ -234,7 +251,7 @@ class TestRun:
     def test_overloaded_neuron_backlog_across_slabs(self):
         # arrivals at 2 against service at 1: the backlog grows without bound
         # and is carried through every slab; q approaches 1 from below
-        net = SimNetwork([1], [], [2.0], ["visual"])
+        net = SimNetwork([], [2.0], ["visual"])
         qs = [run(net, n, seed=0).q[0] for n in (10_000, 100_000, 400_000)]
         assert qs[0] < qs[1] < qs[2] < 1.0, qs
         assert 1.0 - qs[2] < 1e-4, qs
@@ -261,7 +278,7 @@ class TestRun:
 
 class TestEnsembleAndCompare:
     def test_ensemble_pools_observations(self):
-        net = SimNetwork([1], [], [0.5], ["visual"])
+        net = SimNetwork([], [0.5], ["visual"])
         est = run_ensemble(net, 100_000, seed=1, runs=4)
         assert est.observation_count == 400
         assert abs(est.q[0] - 0.5) <= 0.05

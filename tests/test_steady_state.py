@@ -5,6 +5,7 @@ import pytest
 
 from lrnn import (
     ConvergenceError,
+    LrnnModel,
     RnnNetworkSpec,
     feed_forward_spec,
     forward,
@@ -117,6 +118,11 @@ class TestFeedForwardEquivalence:
             )
             np.testing.assert_allclose(q, numeric, atol=1e-10)
 
+    def test_constraint_violation_rejected(self):
+        bad = LrnnModel([np.array([[0.7, 0.7]])], [np.array([[0.5], [0.5]])])
+        with pytest.raises(ValueError, match="constraints"):
+            feed_forward_spec(bad, [0.5])
+
     def test_input_validation(self):
         model = init_weights([4, 2], seed=0)
         with pytest.raises(ValueError, match="attributes"):
@@ -124,5 +130,5 @@ class TestFeedForwardEquivalence:
         with pytest.raises(ValueError, match="nonnegative"):
             feed_forward_spec(model, [-0.1, 0.2, 0.3, 0.4])
         for bad in (np.nan, np.inf):
-            with pytest.raises(ValueError, match="attributes has NaN or infinite entries"):
+            with pytest.raises(ValueError, match="layer visual has NaN or infinite entries"):
                 feed_forward_spec(model, [0.1, bad, 0.3, 0.4])

@@ -338,6 +338,11 @@ class TestTrainGreedy:
         model, _ = train(x, [3, 2, 2], cfg, "greedy")
         assert model.depth == 2
         assert model.encode_dims == [3, 2, 2]
+        # stage 2 is fit on the first encode layer of stage 1, which clamps x first
+        stage1, _ = train(x, [3, 2], cfg)
+        stage2, _ = train(forward(stage1, x).q_enc[0], [2, 2], replace(cfg, seed=3))
+        np.testing.assert_array_equal(model.encode_weights[1], stage2.encode_weights[0])
+        np.testing.assert_array_equal(model.decode_weights[0], stage2.decode_weights[0])
 
     def test_curve_concatenates_stages(self):
         x = np.random.default_rng(7).random((12, 4))
