@@ -161,9 +161,9 @@ def _load_csv(
     Missing cells (empty or ``?``) are imputed with their column mean;
     cells reading as NaN or +-inf raise ``ValueError`` naming line and column.
 
-    A clean table is parsed in bulk by :func:`_parse_bulk`; any other
-    table goes through the line scan :func:`_scan_csv`, which gives the
-    same values bit for bit, imputes missing cells and words every error.
+    A clean table, quoted labels and header included, is parsed in bulk by
+    :func:`_parse_bulk`; any other goes through the line scan :func:`_scan_csv`,
+    which gives the same values bit for bit, imputes missing cells and words every error.
     """
     x = _parse_bulk(path, delimiter, has_header, label_column)
     return _scan_csv(path, delimiter, has_header, label_column) if x is None else x
@@ -176,42 +176,46 @@ def _parse_bulk(
 
     The file is opened as the scan opens it, so both see the same lines.
     Leading blank lines and the header are consumed here, because
-    ``skiprows`` would count a blank line as the header.  Quotes go to the
-    scan, since ``csv`` unquotes them and ``loadtxt`` does not.  With a
-    label column ``usecols`` would accept a row that is too long, or too
-    short when the label is last, so every row's width is checked first.
-    ``loadtxt`` itself refuses missing cells, ragged rows and what only
-    ``float`` reads (``1_0``); a non-finite value also returns None.
+    ``skiprows`` would count a blank line as the header.  ``loadtxt``
+    refuses ragged rows, an out-of-range label column, missing cells,
+    quoted numbers and what only ``float`` reads (``1_0``).  The label
+    column is read as zeros and dropped.  A line of only quotes, which
+    ``csv`` may read as blank, a quoted field that runs on past its cell,
+    a non-finite value and a table of only the label column return None.
     """
     if len(delimiter) != 1 or delimiter in '"\r\n':
         return None
+    label = {}
+    if label_column is not None:  # NaN sends a label that runs on to the scan
+        label[label_column] = lambda cell: math.nan if _quote_runs_on(cell) else 0.0
     try:
         with open(path, newline="") as f:
             header = has_header
             while True:
                 start = f.tell()
                 line = f.readline()
-                if not line or '"' in line:
+                text = line.replace(delimiter, "")
+                if not line or any(map(_quote_runs_on, line.split(delimiter))):
                     return None
-                if line.replace(delimiter, "").strip():  # the scan skips rows of blank cells
+                if '"' in text and not text.replace('"', "").strip():
+                    return None
+                if text.strip():  # the scan skips rows of blank cells
                     if not header:
                         break
                     header = False
             f.seek(start)
-            width = line.count(delimiter) + 1
-            usecols = None
-            if label_column is not None:
-                label = label_column + width if label_column < 0 else label_column
-                if width == 1 or not 0 <= label < width:
-                    return None
-                if any('"' in row or row.count(delimiter) != width - 1 for row in f if row.strip()):
-                    return None
-                f.seek(start)
-                usecols = [c for c in range(width) if c != label]
-            x = np.loadtxt(f, delimiter=delimiter, comments=None, usecols=usecols, ndmin=2)
+            x = np.loadtxt(f, delimiter=delimiter, comments=None, converters=label, ndmin=2)
     except ValueError:  # a parse or decode error, which the scan words
         return None
-    return x if np.isfinite(x).all() else None
+    if not np.isfinite(x).all() or label and x.shape[1] == 1:
+        return None
+    return np.delete(x, label_column, axis=1) if label else x
+
+
+def _quote_runs_on(cell: str) -> bool:
+    """Whether ``csv`` reads on past ``cell``, a piece of a line between delimiters:
+    only a field's first character opens a quote, and an odd run of quotes closes it."""
+    return cell.startswith('"') and '"' not in cell[1:].replace('""', "")
 
 
 def _scan_csv(path, delimiter: str, has_header: bool, label_column: int | None) -> np.ndarray:
@@ -223,16 +227,16 @@ def _scan_csv(path, delimiter: str, has_header: bool, label_column: int | None) 
     line_nos = array("q")  # file line of each data row
     missing = array("q")  # position in ``cells`` of each missing cell
     width: int | None = None
+    header = has_header
     with open(path, newline="") as f:
         reader = csv.reader(f, delimiter=delimiter)
         for line_no, record in enumerate(reader, start=1):
-            if not record or all(cell.strip() == "" for cell in record):
+            if all(cell.strip() == "" for cell in record):
                 continue
-            if has_header and not line_nos and width is None:
-                width = -1  # header consumed; real width set by first data row
+            if header:
+                header = False
                 continue
             if label_column is not None:
-                record = list(record)
                 try:
                     del record[label_column]
                 except IndexError:
@@ -240,7 +244,7 @@ def _scan_csv(path, delimiter: str, has_header: bool, label_column: int | None) 
                         f"{path}:{line_no}: no column {label_column} in row of "
                         f"width {len(record)}"
                     ) from None
-            if width in (None, -1):
+            if width is None:
                 width = len(record)
                 if not width:
                     raise ValueError(f"{path}: no data column besides label column {label_column}")
@@ -270,14 +274,12 @@ def _scan_csv(path, delimiter: str, has_header: bool, label_column: int | None) 
             f"{path}:{line_nos[row]}: non-finite cell {float(x[row, col])} in column {col}"
         )
     if missing:
-        x.reshape(-1)[np.asarray(missing)] = math.nan
-    nan_cols = np.flatnonzero(np.all(np.isnan(x), axis=0))
-    if nan_cols.size:
-        raise ValueError(f"{path}: column(s) {nan_cols.tolist()} have no values at all")
-    if np.isnan(x).any():
-        means = np.nanmean(x, axis=0)
-        idx = np.where(np.isnan(x))
-        x[idx] = means[idx[1]]
+        rows, cols = np.divmod(np.asarray(missing), width)
+        empty = np.flatnonzero(np.bincount(cols, minlength=width) == len(line_nos))
+        if empty.size:
+            raise ValueError(f"{path}: column(s) {empty.tolist()} have no values at all")
+        x[rows, cols] = math.nan
+        x[rows, cols] = np.nanmean(x, axis=0)[cols]
     return x
 
 

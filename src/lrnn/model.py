@@ -148,6 +148,8 @@ def reconstruction_error(x, q_dec_final) -> float:
     q = np.asarray(q_dec_final, dtype=np.float64)
     if x.shape != q.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {q.shape}")
+    if not x.size:
+        raise ValueError(f"empty batch of shape {x.shape}")
     d = x - q
     np.multiply(d, d, out=d)
     return float(np.mean(d))

@@ -12,7 +12,7 @@ iteration keeps reversing direction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -39,15 +39,16 @@ class ConvergenceError(RuntimeError):
 
 @dataclass
 class RnnNetworkSpec:
-    """Parameters of an N-neuron recurrent network.
+    """Parameters of an N-neuron recurrent network, each held as float64.
 
     rates
-        Firing rate r_v per neuron (events per unit time).
+        Firing rate r_v per neuron (events per unit time), a vector of N.
     p_plus, p_minus
         N x N matrices of excitatory/inhibitory routing probabilities;
         p_plus[v, h] is the probability that a spike from v excites h.
     lam_plus, lam_minus
-        External Poisson arrival rates of excitatory/inhibitory spikes.
+        External Poisson arrival rates of excitatory/inhibitory spikes,
+        vectors of N.  A field of another shape is refused.
     """
 
     rates: np.ndarray
@@ -57,28 +58,21 @@ class RnnNetworkSpec:
     lam_minus: np.ndarray
 
     def __post_init__(self) -> None:
-        self.rates = np.asarray(self.rates, dtype=np.float64).ravel()
-        n = self.rates.shape[0]
-        self.p_plus = np.asarray(self.p_plus, dtype=np.float64).reshape(n, n)
-        self.p_minus = np.asarray(self.p_minus, dtype=np.float64).reshape(n, n)
-        self.lam_plus = np.asarray(self.lam_plus, dtype=np.float64).ravel()
-        self.lam_minus = np.asarray(self.lam_minus, dtype=np.float64).ravel()
-        if self.lam_plus.shape[0] != n or self.lam_minus.shape[0] != n:
-            raise ValueError("arrival-rate vectors must have one entry per neuron")
+        n = np.size(self.rates)
+        for field in fields(self):
+            a = np.asarray(getattr(self, field.name), dtype=np.float64)
+            shape = (n, n) if field.name.startswith("p_") else (n,)
+            if a.shape != shape:
+                raise ValueError(f"{field.name} must have shape {shape}, got {a.shape}")
+            setattr(self, field.name, a)
 
     @property
     def n_neurons(self) -> int:
         return self.rates.shape[0]
 
     def validate(self) -> None:
-        for name, a in (
-            ("rates", self.rates),
-            ("p_plus", self.p_plus),
-            ("p_minus", self.p_minus),
-            ("lam_plus", self.lam_plus),
-            ("lam_minus", self.lam_minus),
-        ):
-            as_matrix(np.atleast_2d(a), name)  # finite and nonnegative
+        for field in fields(self):
+            as_matrix(np.atleast_2d(getattr(self, field.name)), field.name)  # finite, nonnegative
         row_sums = self.p_plus.sum(axis=1) + self.p_minus.sum(axis=1)
         bad = np.flatnonzero(row_sums > 1.0 + ROW_SUM_SLACK)
         if bad.size:
@@ -102,8 +96,8 @@ def solve_steady_state(
     ``ValueError`` if some neuron has positive excitatory input but a zero
     total service rate (zero denominator).
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     spec.validate()
     q = np.zeros(spec.n_neurons)
     damping = 1.0

@@ -253,6 +253,26 @@ class TestLoadCsvTraps:
         np.testing.assert_array_equal(x, [[0.5, 1e-3], [2.0, -0.0]])
         assert _parse_bulk(f, ",", True, None) is None  # the label column is not numeric
 
+    def test_quoted_header_and_labels_take_the_bulk_path(self, tmp_path):
+        text = '"sepal length","sepal width",class\n5.1,3.5,"Iris setosa"\n7,3.2,"Iris ""v"""\n'
+        f = self.write(tmp_path, text)
+        x = _parse_bulk(f, ",", True, -1)
+        assert x is not None
+        assert x.tobytes() == _scan_csv(f, ",", True, -1).tobytes()
+        np.testing.assert_array_equal(x, [[5.1, 3.5], [7.0, 3.2]])
+
+    @pytest.mark.parametrize(
+        "text, rows",
+        [
+            ('"h\n1,2,x"\n3,4,y\n', [[3, 4]]),  # the header's quoted name holds a line break
+            ('h,i,j\n0,0,w\n1,2,"x\n5,6,y"\n3,4,z\n', [[0, 0], [1, 2], [3, 4]]),  # a label's
+        ],
+    )
+    def test_quoted_line_break_read_as_the_scan_reads_it(self, tmp_path, text, rows):
+        f = self.write(tmp_path, text)
+        assert _parse_bulk(f, ",", True, -1) is None
+        np.testing.assert_array_equal(_load_csv(f, has_header=True, label_column=-1), rows)
+
 
 _NUMBER = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.integers(-99, 99).map(str)
 _ODD_CELL = st.sampled_from(
@@ -268,22 +288,27 @@ def _csv_tables(draw):
     clean = draw(st.booleans())
     cell = _NUMBER if clean else st.one_of(_NUMBER, _NUMBER, _ODD_CELL)
     widths = st.just(width) if clean else st.sampled_from([width] * 6 + [width - 1, width + 1])
+    lo, hi = (-width, width - 1) if clean else (-width - 1, width)
+    label = draw(st.none() | st.integers(lo, hi))
+    words = ["x", '"setosa"', '"Iris setosa"', '"a""b"', '""', f'"a{delimiter}b"', '"a\nb"']
     lines = []
     for _ in range(draw(st.integers(0, 4))):
         row = [draw(cell) for _ in range(draw(widths))]
+        if label is not None and -len(row) <= label < len(row) and draw(st.booleans()):
+            row[label] = draw(st.sampled_from(words))
         if draw(st.booleans()):
             row = [f" {c} " for c in row]
         lines.append(delimiter.join(row))
     if draw(st.booleans()):
-        lines.insert(0, delimiter.join(f"h{i}" for i in range(width)))
-    odd_blanks = ["", " ", "\t", delimiter, " " + delimiter, '""']
+        names = ["h{}", '"h{}"', '"h {}"', f'"h{delimiter}{{}}"', '"h\n{}"']
+        header = [draw(st.sampled_from(names)).format(i) for i in range(width)]
+        lines.insert(0, delimiter.join(header))
+    odd_blanks = ["", " ", "\t", delimiter, " " + delimiter, '""', '" "', '"",""', '""""', '","']
     blanks = st.just("") if clean else st.sampled_from(odd_blanks)
     for _ in range(draw(st.integers(0, 2))):
         lines.insert(draw(st.integers(0, len(lines))), draw(blanks))
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     text = newline.join(lines) + draw(st.sampled_from(["", newline]))
-    lo, hi = (-width, width - 1) if clean else (-width - 1, width)
-    label = draw(st.none() | st.integers(lo, hi))
     return text, delimiter, draw(st.booleans()), label
 
 

@@ -138,6 +138,11 @@ class TestReconstructionError:
         with pytest.raises(ValueError, match="shape"):
             reconstruction_error(np.zeros((2, 2)), np.zeros((2, 3)))
 
+    def test_empty_batch_refused(self):
+        # the mean of no values is NaN, with a RuntimeWarning
+        with pytest.raises(ValueError, match=r"^empty batch of shape \(0, 3\)$"):
+            reconstruction_error(np.zeros((0, 3)), np.zeros((0, 3)))
+
     @given(nonneg_matrices)
     def test_nonnegative_and_zero_iff_equal(self, m):
         assert reconstruction_error(m, m) == 0.0

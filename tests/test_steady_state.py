@@ -1,5 +1,7 @@
 """Recurrent steady-state solver and its agreement with the forward pass."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -92,8 +94,29 @@ class TestSolveSteadyState:
             solve_steady_state(spec)
 
     def test_bad_tol(self):
-        with pytest.raises(ValueError, match="tol"):
-            solve_steady_state(spec_of(1), tol=0.0)
+        chain = spec_of(2, p_plus=[[0.0, 0.5], [0.0, 0.0]], lam_plus=[0.3, 0.2])
+        np.testing.assert_allclose(solve_steady_state(chain), [0.3, 0.35], atol=1e-12)
+        for tol in (0.0, -1e-12, np.inf, np.nan):  # inf ends after one step, nan runs out
+            with pytest.raises(ValueError, match="tol must be positive"):
+                solve_steady_state(chain, tol=tol)
+
+    @pytest.mark.parametrize(
+        "field, shape",
+        [
+            ("rates", (2, 1)),
+            ("p_plus", (4, 1)),
+            ("p_plus", (4,)),
+            ("p_minus", (3, 3)),
+            ("lam_plus", (2, 1)),
+            ("lam_minus", (3,)),
+        ],
+    )
+    def test_field_of_wrong_shape_refused(self, field, shape):
+        # a (4, 1) p_plus has the size of a 2 x 2 matrix but not its shape
+        want = (2, 2) if field.startswith("p_") else (2,)
+        message = rf"^{field} must have shape {re.escape(str(want))}, got {re.escape(str(shape))}$"
+        with pytest.raises(ValueError, match=message):
+            spec_of(2, **{field: np.zeros(shape)})
 
 
 class TestFeedForwardEquivalence:
