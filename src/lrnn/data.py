@@ -161,9 +161,9 @@ def _load_csv(
     Missing cells (empty or ``?``) are imputed with their column mean;
     cells reading as NaN or +-inf raise ``ValueError`` naming line and column.
 
-    A clean table, quoted labels and header included, is parsed in bulk by
-    :func:`_parse_bulk`; any other goes through the line scan :func:`_scan_csv`,
-    which gives the same values bit for bit, imputes missing cells and words every error.
+    A clean table is parsed in bulk by :func:`_parse_bulk`; any other
+    table goes through the line scan :func:`_scan_csv`, which gives the
+    same values bit for bit, imputes missing cells and words every error.
     """
     x = _parse_bulk(path, delimiter, has_header, label_column)
     return _scan_csv(path, delimiter, has_header, label_column) if x is None else x
@@ -175,47 +175,37 @@ def _parse_bulk(
     """The table in one ``np.loadtxt`` call, or None where the line scan must decide.
 
     The file is opened as the scan opens it, so both see the same lines.
-    Leading blank lines and the header are consumed here, because
-    ``skiprows`` would count a blank line as the header.  ``loadtxt``
-    refuses ragged rows, an out-of-range label column, missing cells,
-    quoted numbers and what only ``float`` reads (``1_0``).  The label
-    column is read as zeros and dropped.  A line of only quotes, which
-    ``csv`` may read as blank, a quoted field that runs on past its cell,
-    a non-finite value and a table of only the label column return None.
+    Leading blank lines and the header are consumed here, because ``skiprows``
+    would count a blank line as the header.  Any quote goes to the scan, which
+    unquotes as ``csv`` does.  The label column is read as zeros and dropped.
+    ``loadtxt`` refuses ragged rows, an out-of-range label column, missing
+    cells and what only ``float`` reads (``1_0``); a non-finite value and a
+    table of only the label column also return None.
     """
     if len(delimiter) != 1 or delimiter in '"\r\n':
         return None
-    label = {}
-    if label_column is not None:  # NaN sends a label that runs on to the scan
-        label[label_column] = lambda cell: math.nan if _quote_runs_on(cell) else 0.0
+    label = {} if label_column is None else {label_column: lambda c: math.nan if '"' in c else 0.0}
     try:
         with open(path, newline="") as f:
             header = has_header
             while True:
                 start = f.tell()
                 line = f.readline()
-                text = line.replace(delimiter, "")
-                if not line or any(map(_quote_runs_on, line.split(delimiter))):
+                if not line or '"' in line:
                     return None
-                if '"' in text and not text.replace('"', "").strip():
-                    return None
-                if text.strip():  # the scan skips rows of blank cells
+                if line.replace(delimiter, "").strip():  # the scan skips rows of blank cells
                     if not header:
                         break
                     header = False
             f.seek(start)
-            x = np.loadtxt(f, delimiter=delimiter, comments=None, converters=label, ndmin=2)
+            x = np.loadtxt(
+                f, delimiter=delimiter, comments=None, converters=label, encoding=None, ndmin=2
+            )
     except ValueError:  # a parse or decode error, which the scan words
         return None
     if not np.isfinite(x).all() or label and x.shape[1] == 1:
         return None
     return np.delete(x, label_column, axis=1) if label else x
-
-
-def _quote_runs_on(cell: str) -> bool:
-    """Whether ``csv`` reads on past ``cell``, a piece of a line between delimiters:
-    only a field's first character opens a quote, and an odd run of quotes closes it."""
-    return cell.startswith('"') and '"' not in cell[1:].replace('""', "")
 
 
 def _scan_csv(path, delimiter: str, has_header: bool, label_column: int | None) -> np.ndarray:

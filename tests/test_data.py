@@ -253,14 +253,6 @@ class TestLoadCsvTraps:
         np.testing.assert_array_equal(x, [[0.5, 1e-3], [2.0, -0.0]])
         assert _parse_bulk(f, ",", True, None) is None  # the label column is not numeric
 
-    def test_quoted_header_and_labels_take_the_bulk_path(self, tmp_path):
-        text = '"sepal length","sepal width",class\n5.1,3.5,"Iris setosa"\n7,3.2,"Iris ""v"""\n'
-        f = self.write(tmp_path, text)
-        x = _parse_bulk(f, ",", True, -1)
-        assert x is not None
-        assert x.tobytes() == _scan_csv(f, ",", True, -1).tobytes()
-        np.testing.assert_array_equal(x, [[5.1, 3.5], [7.0, 3.2]])
-
     @pytest.mark.parametrize(
         "text, rows",
         [
