@@ -26,7 +26,8 @@ import os
 import sys
 
 from . import data as data_mod
-from .model import LrnnModel, _layers, dataset_error, forward, rows_per_chunk
+from .model import LrnnModel, _check_attributes, _encode_dims, _layers, dataset_error, forward
+from .model import rows_per_chunk
 from .model_io import _format_rows, load_model, save_model
 
 # ``training`` and ``simulation`` are imported by the commands that run them,
@@ -69,56 +70,35 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--label-column", type=int, default=None, help="csv column to drop")
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return value
+def _flag_type(kind: str, convert, test=lambda value: True):
+    """An argparse ``type``: ``convert`` the text, then refuse it unless ``test`` holds."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not test(value):
+            raise ValueError(text)
+        return value
+
+    parse.__name__ = kind  # argparse reports a refusal as "invalid <__name__> value: '<text>'"
+    return parse
 
 
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
-    return value
-
-
-def _non_negative_float(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(f"must be a finite non-negative number, got {text}")
-    return value
-
-
-def _one_char(text: str) -> str:
-    if len(text) != 1:
-        raise ValueError(text)
-    return text
-
-
-def _arch(text: str) -> list[int]:
-    from .training import _encode_dims
-
-    return _encode_dims(text.split(","))
-
-
-# argparse reports a failed conversion as "invalid <type __name__> value: ..."
-_positive_int.__name__ = "positive integer"
-_non_negative_int.__name__ = "non-negative integer"
-_non_negative_float.__name__ = "non-negative number"
-_one_char.__name__ = "one-character"
-_arch.__name__ = "layer sizes"
+_positive_int = _flag_type("positive integer", int, lambda v: v >= 1)
+_non_negative_int = _flag_type("non-negative integer", int, lambda v: v >= 0)
+_non_negative_float = _flag_type("non-negative number", float, lambda v: 0.0 <= v < math.inf)
+_one_char = _flag_type("one-character", str, data_mod._MANIFEST_SETTINGS["delimiter"][1])
+_arch = _flag_type("layer sizes", lambda text: _encode_dims([int(s) for s in text.split(",")]))
 
 
 def _read(load, *args, **kwargs):
-    """Call a file loader; a ``ValueError`` from it is a data error."""
+    """Call a file loader, or a check of what it read; a ``ValueError`` is a data error."""
     try:
         return load(*args, **kwargs)
     except ValueError as e:
         raise DataError(e) from e
 
 
-def _load_data(args, width: int, what: str) -> data_mod.Dataset:
+def _load_data(args, width: int) -> data_mod.Dataset:
     """Load ``--data``, refusing it unless it has ``width`` attributes."""
     dataset = _read(
         data_mod.load_dataset,
@@ -129,8 +109,7 @@ def _load_data(args, width: int, what: str) -> data_mod.Dataset:
         has_header=args.header,
         label_column=args.label_column,
     )
-    if dataset.attribute_count != width:
-        raise DataError(f"dataset has {dataset.attribute_count} attributes, {what} {width}")
+    _read(_check_attributes, "dataset", dataset.attribute_count, width)
     return dataset
 
 
@@ -144,7 +123,7 @@ def cmd_train(args) -> None:
         raise UsageError("set --iters and/or --epochs")
     if args.full_error_every and not args.curve:
         raise UsageError("--full-error-every needs --curve")
-    dataset = _load_data(args, dims[0], "--arch starts with")
+    dataset = _load_data(args, dims[0])
     cfg = TrainConfig(
         batch_size=args.batch,
         max_iterations=args.iters,
@@ -185,7 +164,7 @@ def cmd_train(args) -> None:
 
 def _load_model_and_data(args) -> tuple[LrnnModel, data_mod.Dataset]:
     model = _read(load_model, args.model)
-    return model, _load_data(args, model.visible_dim, "model expects")
+    return model, _load_data(args, model.visible_dim)
 
 
 def cmd_eval(args) -> None:

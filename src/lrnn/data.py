@@ -182,7 +182,7 @@ def _parse_bulk(
     cells and what only ``float`` reads (``1_0``); a non-finite value and a
     table of only the label column also return None.
     """
-    if len(delimiter) != 1 or delimiter in '"\r\n':
+    if delimiter in '"\r\n':
         return None
     label = {} if label_column is None else {label_column: lambda c: math.nan if '"' in c else 0.0}
     try:
@@ -218,9 +218,18 @@ def _scan_csv(path, delimiter: str, has_header: bool, label_column: int | None) 
     missing = array("q")  # position in ``cells`` of each missing cell
     width: int | None = None
     header = has_header
-    with open(path, newline="") as f:
+
+    def records(f):
+        """Each record with the file line it ends on; a ``csv.Error`` as a ``ValueError``."""
         reader = csv.reader(f, delimiter=delimiter)
-        for line_no, record in enumerate(reader, start=1):
+        try:
+            for record in reader:
+                yield reader.line_num, record
+        except csv.Error as e:  # such as a field over csv's size limit
+            raise ValueError(f"{path}:{reader.line_num}: {e}") from None
+
+    with open(path, newline="") as f:
+        for line_no, record in records(f):
             if all(cell.strip() == "" for cell in record):
                 continue
             if header:
@@ -333,8 +342,10 @@ def load_dataset(
     or a string of comma-separated files.  ``fmt="manifest"`` loads entry ``name`` of the
     manifest at ``path``, or its only entry when ``name`` is None; the
     entry's own settings replace ``delimiter``, ``has_header`` and
-    ``label_column``.
+    ``label_column``.  Those three are refused as a manifest's are.
     """
+    settings = {"delimiter": delimiter, "header": has_header, "label_column": label_column}
+    _check_settings(settings, "load_dataset")
     if fmt is None:
         fmt = _guess_format(path)
     if fmt == "manifest":
@@ -390,6 +401,13 @@ _MANIFEST_SETTINGS = {
 }
 
 
+def _check_settings(settings: dict, where: str) -> None:
+    """Refuse a setting of another type than :data:`_MANIFEST_SETTINGS` names."""
+    for key, (kind, valid) in _MANIFEST_SETTINGS.items():
+        if key in settings and not valid(settings[key]):
+            raise ValueError(f"{where} setting {key!r} must be {kind}, got {settings[key]!r}")
+
+
 def _load_manifest(path) -> dict[str, dict]:
     """Read a manifest: JSON object mapping name -> loader settings.
 
@@ -409,11 +427,7 @@ def _load_manifest(path) -> dict[str, dict]:
     for name, entry in raw.items():
         if not isinstance(entry, dict) or "path" not in entry or "format" not in entry:
             raise ValueError(f"{path}: entry {name!r} needs at least 'path' and 'format'")
-        for key, (kind, valid) in _MANIFEST_SETTINGS.items():
-            if key in entry and not valid(entry[key]):
-                raise ValueError(
-                    f"{path}: entry {name!r} setting {key!r} must be {kind}, got {entry[key]!r}"
-                )
+        _check_settings(entry, f"{path}: entry {name!r}")
         entry = dict(entry)
         p = Path(entry["path"])
         if not p.is_absolute():

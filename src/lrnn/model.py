@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from numbers import Integral
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -30,6 +31,19 @@ CHUNK_VALUES = 1 << 18
 def rows_per_chunk(*widths: int) -> int:
     """Rows per block of a whole-dataset pass over arrays ``widths`` values wide."""
     return max(1, CHUNK_VALUES // max(widths))
+
+
+def _encode_dims(encode_dims: Sequence[int]) -> list[int]:
+    """The sizes V, H1, ..., Hk as ints, refused unless they are two or more integers >= 1."""
+    if len(encode_dims) < 2 or not all(isinstance(d, Integral) and d >= 1 for d in encode_dims):
+        raise ValueError(f"encode dims need >= 2 positive integers, got {encode_dims}")
+    return [int(d) for d in encode_dims]
+
+
+def _check_attributes(what: str, count: int, expected: int) -> None:
+    """Refuse ``what`` unless its ``count`` attributes are the ``expected`` visible units."""
+    if count != expected:
+        raise ValueError(f"{what} has {count} attributes but model expects {expected}")
 
 
 def clamp_unit(m: np.ndarray) -> np.ndarray:
@@ -134,10 +148,7 @@ def forward(model: LrnnModel, x) -> ActivationState:
     ``min(x, 1)``.
     """
     x = as_matrix(x, "x")
-    if x.shape[1] != model.visible_dim:
-        raise ValueError(
-            f"input has {x.shape[1]} attributes but model expects {model.visible_dim}"
-        )
+    _check_attributes("input", x.shape[1], model.visible_dim)
     q_hat, *layers = _layers(model, x)
     return ActivationState(q_hat, layers[: model.depth], layers[model.depth :])
 
@@ -176,10 +187,7 @@ def dataset_error(model: LrnnModel, x) -> float:
     d = _as_dataset(x)
     if d.instance_count == 0:
         raise ValueError("empty dataset")
-    if d.attribute_count != model.visible_dim:
-        raise ValueError(
-            f"input has {d.attribute_count} attributes but model expects {model.visible_dim}"
-        )
+    _check_attributes("input", d.attribute_count, model.visible_dim)
     row_sums = np.empty(d.instance_count)
     start = 0
     for chunk in iter_minibatches(d, rows_per_chunk(*model.encode_dims)):

@@ -57,6 +57,7 @@ from .model import (
     ROW_SUM_SLACK,
     ActivationState,
     LrnnModel,
+    _check_attributes,
     reject_violations,
     validate_constraints,
 )
@@ -117,10 +118,7 @@ class SimNetwork:
 def compile_sim(model: LrnnModel, instance) -> SimNetwork:
     """Build the spiking network for ``model`` driven by one instance's attributes."""
     reject_violations(validate_constraints(model))
-    if np.size(instance) != model.visible_dim:
-        raise ValueError(
-            f"instance has {np.size(instance)} attributes but model expects {model.visible_dim}"
-        )
+    _check_attributes("instance", np.size(instance), model.visible_dim)
     names = (
         ["visual"]
         + [f"enc{m + 1}" for m in range(model.depth)]

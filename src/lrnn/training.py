@@ -69,12 +69,14 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .data import Dataset, _as_dataset, as_matrix, iter_minibatches
-from .model import LrnnModel, clamp_unit, dataset_error, reconstruction_error, rows_per_chunk
+from .model import LrnnModel, _check_attributes, _encode_dims, clamp_unit, dataset_error
+from .model import reconstruction_error, rows_per_chunk
 
 #: Replacement for exact-zero denominators (IEEE double machine epsilon).
 EPS_FLOOR = float(np.finfo(np.float64).eps)
@@ -112,8 +114,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         for name in ("batch_size", "max_epochs", "max_iterations"):
             value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be >= 1")
+            if value is not None and not (isinstance(value, Integral) and value >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if not (math.isfinite(self.rel_tol) and self.rel_tol >= 0.0):
             raise ValueError(f"rel_tol must be finite and >= 0, got {self.rel_tol}")
 
@@ -132,13 +134,6 @@ class TrainReport:
     final_full_error: float = float("nan")
     wall_time: float = 0.0
     dead_units: int = 0
-
-
-def _encode_dims(encode_dims: Sequence[int]) -> list[int]:
-    dims = [int(d) for d in encode_dims]
-    if len(dims) < 2 or any(d < 1 for d in dims):
-        raise ValueError(f"encode dims need >= 2 positive entries, got {encode_dims}")
-    return dims
 
 
 def init_weights(encode_dims: Sequence[int], seed: int) -> LrnnModel:
@@ -433,8 +428,7 @@ def train(
     x = _as_dataset(x)
     if x.instance_count == 0:
         raise ValueError("empty dataset")
-    if x.attribute_count != dims[0]:
-        raise ValueError(f"dataset has {x.attribute_count} attributes but model expects {dims[0]}")
+    _check_attributes("dataset", x.attribute_count, dims[0])
     if cfg.max_iterations is None and cfg.max_epochs is None:
         raise ValueError("set max_iterations and/or max_epochs in TrainConfig")
     start = time.perf_counter()

@@ -37,3 +37,24 @@ def disjoint_halves(seed: int, batch: int, side: int = 8) -> np.ndarray:
     x[:batch, :, : side // 2] = 0
     x[batch:, :, side // 2 :] = 0
     return x.reshape(2 * batch, side * side)
+
+
+def cifar_like(seed: int, rows: int) -> np.ndarray:
+    """``rows`` x 3072 uint8 pixels of 32 x 32 colour images, laid out as a
+    CIFAR-10 record holds them (1024 R, then G, then B), deterministic in
+    ``seed``: a few small coloured blobs on black.  They are dark because a
+    3072 -> 150 model gives back at most 150 in brightness summed over an
+    image: each hidden unit's excitation is at most 1 and its decode row sums
+    to at most 1."""
+    rng = np.random.default_rng(seed)
+    parts = 6
+    yy, xx = np.mgrid[0:32, 0:32]
+    basis = np.empty((parts, 1024))
+    for k in range(parts):
+        cy, cx = rng.uniform(4.0, 27.0, 2)
+        s = rng.uniform(1.5, 3.0)
+        basis[k] = np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * s * s)).ravel()
+    colour = rng.random((parts, 3))
+    weights = rng.gamma(1.5, 0.5, (rows, parts)) * (rng.random((rows, parts)) < 0.5)
+    x = np.einsum("rp,pc,pi->rci", weights, colour, basis)
+    return np.round(np.minimum(x, 1.0) * 255.0).astype(np.uint8).reshape(rows, 3 * 1024)

@@ -135,8 +135,14 @@ class TestTrain:
         out = tmp_path / "m.lrnn"
         for flag, value, kind in (
             ("--iters", "two", "positive integer"),
+            ("--iters", "0", "positive integer"),
             ("--seed", "x", "non-negative integer"),
+            ("--seed", "-1", "non-negative integer"),
             ("--rel-tol", "abc", "non-negative number"),
+            ("--rel-tol", "nan", "non-negative number"),
+            ("--delimiter", ";;", "one-character"),
+            ("--arch", "4,2.5", "layer sizes"),
+            ("--arch", "4,0", "layer sizes"),
         ):
             assert main(train_args(csv_dataset, out, [flag, value])) == EXIT_USAGE
             err = capsys.readouterr().err
@@ -369,6 +375,7 @@ EXIT_CASES = [
     ("no data column besides the label", _train("--delimiter", ";", "--label-column", "0"),
      EXIT_DATA),
     ("model width mismatch", ["eval", "--model", "{model}", "--data", "{narrow}"], EXIT_DATA),
+    ("field over csv's size limit", _train(data="{long_field}"), EXIT_DATA),
     ("missing model file", _simulate(model="{tmp}/missing.lrnn"), EXIT_DATA),
     ("bad model file", _simulate(model="{data}"), EXIT_DATA),
     ("index out of range", _simulate("--index", "30"), EXIT_DATA),
@@ -392,8 +399,10 @@ class TestExitCodes:
         manifest = tmp_path / "m.json"  # "header" must be a JSON boolean
         manifest.write_text(json.dumps({"d": {"path": str(csv_dataset), "format": "csv",
                                               "header": "false"}}))
+        long_field = tmp_path / "long_field.csv"  # csv refuses a field of over 131,072 characters
+        long_field.write_text(f'1,2,3,4\n5,6,7,"{"8" * 200_000}"\n')
         return {"data": csv_dataset, "model": model, "narrow": narrow, "manifest": manifest,
-                "tmp": tmp_path, "out": tmp_path / "out"}
+                "long_field": long_field, "tmp": tmp_path, "out": tmp_path / "out"}
 
     @pytest.mark.parametrize("argv,code", [c[1:] for c in EXIT_CASES],
                              ids=[c[0] for c in EXIT_CASES])

@@ -205,6 +205,42 @@ class TestLoadCsv:
         f.write_text("1\t2\n3\t4\n")
         d = load_dataset(f, "csv", delimiter="\t")
         assert d.x.shape == (2, 2)
+        f.write_text("1\n3\n")  # a newline delimiter is legal: one cell per row
+        np.testing.assert_array_equal(load_dataset(f, "csv", delimiter="\n").x, [[0], [1]])
+
+    @pytest.mark.parametrize(
+        "setting, value, kind",
+        [
+            ("delimiter", ";;", "a one-character string"),
+            ("delimiter", "", "a one-character string"),
+            ("has_header", 1, "true or false"),
+            ("label_column", True, "an integer or null"),
+            ("label_column", 1.0, "an integer or null"),
+        ],
+    )
+    def test_mistyped_argument_refused_as_a_manifest_setting(self, tmp_path, setting, value, kind):
+        f = tmp_path / "t.csv"
+        f.write_text("1,2,x\n3,4,y\n")
+        key = "header" if setting == "has_header" else setting
+        message = f"load_dataset setting {key!r} must be {kind}, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_dataset(f, **{setting: value})
+
+    def test_error_names_the_file_line_after_a_quoted_line_break(self, tmp_path):
+        f = tmp_path / "t.csv"
+        f.write_text('h,"x\ny"\n1,2\n4,oops\n')
+        with pytest.raises(ValueError, match=r"t\.csv:4: non-numeric cell 'oops' in column 1"):
+            load_dataset(f, has_header=True)
+
+    def test_field_over_csv_size_limit_refused(self, tmp_path):
+        import csv
+
+        limit = csv.field_size_limit()
+        f = tmp_path / "t.csv"
+        f.write_text(f'1,2\n3,"{"7" * (limit + 1)}"\n')
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(f))}:2: field larger than"):
+            load_dataset(f)
+        assert csv.field_size_limit() == limit  # the process-wide limit is left alone
 
 
 class TestLoadCsvTraps:

@@ -183,6 +183,13 @@ class TestInitWeights:
         with pytest.raises(ValueError):
             init_weights([4, 0], seed=0)
 
+    @pytest.mark.parametrize("dims", [[784, 100.5], [4, 2.0], ["4", "2"], np.array([4.0, 2.0])])
+    def test_sizes_that_are_not_integers_refused(self, dims):
+        with pytest.raises(ValueError, match="encode dims need >= 2 positive integers"):
+            init_weights(dims, seed=0)
+        with pytest.raises(ValueError, match="encode dims need >= 2 positive integers"):
+            train(np.full((4, 4), 0.5), dims, small_config())
+
 
 def small_config(**kw):
     base = dict(batch_size=4, max_iterations=30, seed=0)
@@ -209,6 +216,8 @@ class TestTrainShallow:
             train(np.ones((4, 2)) * 0.5, [2, 1], TrainConfig(batch_size=2))
         for name, value in (
             ("max_iterations", 0), ("max_iterations", -3), ("max_epochs", 0),
+            ("batch_size", 2.5), ("max_epochs", 1.5), ("max_iterations", 3.0),
+            ("max_iterations", "3"),
             ("rel_tol", -1.0), ("rel_tol", np.nan), ("rel_tol", np.inf),
         ):
             with pytest.raises(ValueError, match=name):
