@@ -25,10 +25,12 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import data as data_mod
 from .model import LrnnModel, _check_attributes, _encode_dims, _layers, dataset_error, forward
 from .model import rows_per_chunk
-from .model_io import _format_rows, load_model, save_model
+from .model_io import load_model, save_model
 
 # ``training`` and ``simulation`` are imported by the commands that run them,
 # so each command loads only its own modules.
@@ -175,7 +177,7 @@ def cmd_eval(args) -> None:
             for chunk in data_mod.iter_minibatches(dataset, rows_per_chunk(*model.encode_dims)):
                 for q in _layers(model, chunk):
                     pass  # only the latest layer is kept
-                f.writelines(line + "\n" for line in _format_rows(q, ","))
+                np.savetxt(f, q, fmt="%.17g", delimiter=",")
     print(f"reconstruction error: {err:.17g}")
 
 

@@ -25,6 +25,7 @@ import math
 import struct
 from array import array
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 from typing import Iterator
 
@@ -41,6 +42,17 @@ def _as_2d(a, name: str) -> np.ndarray:
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
     return m
+
+
+def _is_count(value, least: int = 1) -> bool:
+    """Whether ``value`` is an integer >= ``least``; a bool is not."""
+    return isinstance(value, Integral) and not isinstance(value, bool) and value >= least
+
+
+def _check_count(name: str, value, least: int = 1) -> None:
+    """Refuse the argument ``name`` unless its ``value`` is an integer >= ``least``."""
+    if not _is_count(value, least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -308,8 +320,7 @@ def iter_minibatches(
     :class:`Dataset` or an array, which is checked as a :class:`Dataset`
     checks it; either is read with :meth:`Dataset.rows`.
     """
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
+    _check_count("batch_size", batch_size)
     d = _as_dataset(d)
     order = None
     if shuffle:

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .data import _as_2d, _as_dataset, as_matrix, iter_minibatches
+from .data import _as_2d, _as_dataset, _is_count, as_matrix, iter_minibatches
 
 #: Slack used when checking row sums against 1, absorbing rounding from
 #: the exact-normalization steps in training.
@@ -35,7 +34,7 @@ def rows_per_chunk(*widths: int) -> int:
 
 def _encode_dims(encode_dims: Sequence[int]) -> list[int]:
     """The sizes V, H1, ..., Hk as ints, refused unless they are two or more integers >= 1."""
-    if len(encode_dims) < 2 or not all(isinstance(d, Integral) and d >= 1 for d in encode_dims):
+    if len(encode_dims) < 2 or not all(_is_count(d) for d in encode_dims):
         raise ValueError(f"encode dims need >= 2 positive integers, got {encode_dims}")
     return [int(d) for d in encode_dims]
 
@@ -79,18 +78,13 @@ class LrnnModel:
             )
         self.encode_weights = [_as_2d(w, f"W{m + 1}") for m, w in enumerate(self.encode_weights)]
         self.decode_weights = [_as_2d(w, f"WB{m + 1}") for m, w in enumerate(self.decode_weights)]
-        for chain, kind in ((self.encode_weights, "encode"), (self.decode_weights, "decode")):
-            for i in range(len(chain) - 1):
-                if chain[i].shape[1] != chain[i + 1].shape[0]:
-                    raise ValueError(
-                        f"{kind} chain broken at layer {i + 1}: "
-                        f"{chain[i].shape} -> {chain[i + 1].shape}"
-                    )
-        if self.decode_dims != list(reversed(self.encode_dims)):
-            raise ValueError(
-                f"decode dims {self.decode_dims} must mirror encode dims "
-                f"{self.encode_dims}"
-            )
+        for i, (w, v) in enumerate(zip(self.encode_weights, self.encode_weights[1:]), 1):
+            if w.shape[1] != v.shape[0]:
+                raise ValueError(f"encode chain broken at layer {i}: {w.shape} -> {v.shape}")
+        shapes = [w.shape for w in self.decode_weights]
+        mirror = [w.shape[::-1] for w in reversed(self.encode_weights)]
+        if shapes != mirror:  # so the decode chain is unbroken too
+            raise ValueError(f"decode shapes {shapes} must mirror the encode shapes: {mirror}")
 
     @property
     def depth(self) -> int:

@@ -11,19 +11,18 @@ Layout (whitespace separated, one matrix row per line):
     WB 1 rows cols
     ...
 
-Values are written with 17 significant digits, which round-trips IEEE
-doubles exactly, so save/load reproduces every weight bit for bit.  On
-load, values are whitespace-separated numbers as ``np.loadtxt`` reads
-them (``1_0``, which only ``float`` reads, is refused); declared sizes are
-checked against the lines present before any block is parsed, so no array
-outgrows the file; a row-by-row read only words why a block was refused;
-and the RNN constraints are checked again.
+``np.savetxt`` writes the values with 17 significant digits, which
+round-trips IEEE doubles exactly, so save/load reproduces every weight bit
+for bit.  On load, values are whitespace-separated numbers as
+``np.loadtxt`` reads them (``1_0``, which only ``float`` reads, is
+refused); declared sizes are checked against the lines present before any
+block is parsed, so no array outgrows the file; a row-by-row read only
+words why a block was refused; and the RNN constraints are checked again.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -32,22 +31,15 @@ from .model import LrnnModel, reject_violations, validate_constraints
 FORMAT_TAG = "LRNN1"
 
 
-def _format_rows(w: np.ndarray, sep: str = " ") -> Iterator[str]:
-    """Each row of ``w`` as text, every value written as ``f"{v:.17g}"`` writes it."""
-    row_format = sep.join(["%.17g"] * w.shape[1])
-    for row in w:
-        yield row_format % tuple(row.tolist())
-
-
 def save_model(model: LrnnModel, path) -> None:
     """Write ``model`` to ``path`` in the LRNN1 text format."""
-    dims = model.encode_dims
-    lines = [FORMAT_TAG, f"depth {model.depth}", "dims " + " ".join(str(d) for d in dims)]
-    for marker, chain in (("W", model.encode_weights), ("WB", model.decode_weights)):
-        for m, w in enumerate(chain, start=1):
-            lines.append(f"{marker} {m} {w.shape[0]} {w.shape[1]}")
-            lines.extend(_format_rows(w))
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as f:
+        dims = " ".join(str(d) for d in model.encode_dims)
+        f.write(f"{FORMAT_TAG}\ndepth {model.depth}\ndims {dims}\n")
+        for marker, chain in (("W", model.encode_weights), ("WB", model.decode_weights)):
+            for m, w in enumerate(chain, start=1):
+                f.write(f"{marker} {m} {w.shape[0]} {w.shape[1]}\n")
+                np.savetxt(f, w, fmt="%.17g")
 
 
 def _line(path: Path, lines: list[str], pos: int, what: str) -> str:

@@ -52,7 +52,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import as_matrix
+from .data import _check_count, as_matrix
 from .model import (
     ROW_SUM_SLACK,
     ActivationState,
@@ -106,8 +106,7 @@ class SimNetwork:
             w = as_matrix(w, name)
             if w.shape[0] != self.layer_sizes[-1]:
                 raise ValueError(f"{name} has {w.shape[0]} rows, expected {self.layer_sizes[-1]}")
-            row_sums = w.sum(axis=1)
-            if row_sums.size and float(row_sums.max()) > 1.0 + ROW_SUM_SLACK:
+            if w.sum(axis=1).max(initial=0.0) > 1.0 + ROW_SUM_SLACK:
                 raise ValueError(f"{name} has a row sum above 1")
             self.weight_chain.append(w)
             self.layer_sizes.append(w.shape[1])
@@ -263,10 +262,9 @@ def run(
     Observations are taken after every ``observe_every``-th event past
     ``burn_in`` (default: no burn-in, transients included).
     """
-    if observe_every < 1:
-        raise ValueError("observe_every must be >= 1")
-    if burn_in < 0:
-        raise ValueError("burn_in must be >= 0")
+    _check_count("n_events", n_events)
+    _check_count("observe_every", observe_every)
+    _check_count("burn_in", burn_in, 0)
     if n_events < burn_in + observe_every:
         raise ValueError(
             f"n_events={n_events} yields no observation "

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import as_matrix
+from .data import _check_count, as_matrix
 from .model import ROW_SUM_SLACK, LrnnModel, clamp_unit
 from .simulation import compile_sim
 
@@ -98,6 +98,7 @@ def solve_steady_state(
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
+    _check_count("max_iter", max_iter)
     spec.validate()
     q = np.zeros(spec.n_neurons)
     damping = 1.0
@@ -120,7 +121,7 @@ def solve_steady_state(
         target = clamp_unit(target)
         delta = damping * (target - q)
         q = q + delta
-        residual = float(np.max(np.abs(delta))) if delta.size else 0.0
+        residual = float(np.abs(delta).max(initial=0.0))
         if residual < tol:
             return q
         if prev_delta is not None and float(delta @ prev_delta) < 0.0:

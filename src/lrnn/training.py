@@ -69,12 +69,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from numbers import Integral
+from numbers import Real
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import Dataset, _as_dataset, as_matrix, iter_minibatches
+from .data import Dataset, _as_dataset, _check_count, as_matrix, iter_minibatches
 from .model import LrnnModel, _check_attributes, _encode_dims, clamp_unit, dataset_error
 from .model import reconstruction_error, rows_per_chunk
 
@@ -113,11 +113,12 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         for name in ("batch_size", "max_epochs", "max_iterations"):
-            value = getattr(self, name)
-            if value is not None and not (isinstance(value, Integral) and value >= 1):
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        if not (math.isfinite(self.rel_tol) and self.rel_tol >= 0.0):
-            raise ValueError(f"rel_tol must be finite and >= 0, got {self.rel_tol}")
+            if getattr(self, name) is not None:
+                _check_count(name, getattr(self, name))
+        _check_count("seed", self.seed, 0)
+        rel_tol = self.rel_tol
+        if not (isinstance(rel_tol, Real) and math.isfinite(rel_tol) and rel_tol >= 0.0):
+            raise ValueError(f"rel_tol must be finite and >= 0, got {rel_tol!r}")
 
 
 @dataclass
@@ -234,7 +235,7 @@ def project_rows(w: np.ndarray) -> np.ndarray:
 
 def _saturation_scale(pre: np.ndarray) -> np.ndarray:
     """Per unit (column of ``pre``), its peak pre-activation where above 1, else 1."""
-    return np.maximum(pre.max(axis=0), 1.0)
+    return pre.max(axis=0, initial=1.0)
 
 
 def rescale_saturation(w: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -247,8 +248,6 @@ def rescale_saturation(w: np.ndarray, a: np.ndarray) -> np.ndarray:
     all-zero case, stay untouched.  Scaling is never upward, so weights
     satisfying the row-sum constraints still satisfy them afterwards.
     """
-    if not (w.size and a.size):
-        return w
     return w / _saturation_scale(a @ w)
 
 
@@ -296,17 +295,17 @@ class _LivePair:
         w[self.live] = self.w
         return w, self.widen(self.wb)
 
-    def step(self, a: np.ndarray, decode_output: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    def step(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One pair update on input activations ``a`` (all visible units).
 
         Returns h = min(a @ w, 1), the activations feeding the next layer,
-        and, if ``decode_output``, min(h @ wb, 1) for the new wb over all
-        visible units, the pair's decode output (else None).
+        and min(h @ wb, 1) for the new wb over all visible units, the pair's
+        decode output.
         """
         if self.live is not None:
             a = a[:, self.live]
         self.w, self.wb, h, q = _pair_update(a, self.w, self.wb)
-        q = self.widen(q) if decode_output else None
+        q = self.widen(q)
         self._drop_dead()
         return h, q
 
@@ -316,7 +315,7 @@ def _pair_step(a, w, wb):
     a single :meth:`_LivePair.step`.  Returns the new W and WB, h and the
     decode output (see there)."""
     pair = _LivePair(w, wb)
-    h, q = pair.step(a, decode_output=True)
+    h, q = pair.step(a)
     return (*pair.weights(), h, q)
 
 
@@ -378,15 +377,14 @@ def _fit(x: Dataset, model, first, cfg, curve, observer) -> None:
                 if peak > 1.0:
                     a = clamp_unit(batch)
                 for pair in pairs:
-                    if peak > 0.0:
-                        a, q = pair.step(a, decode_output=pair is pairs[-1])
-                        peak = a.max()
-                    else:
-                        q = np.zeros((a.shape[0], pair.visible))
-                        a = np.zeros((a.shape[0], pair.w.shape[1]))
-                # q: the innermost pair's decode output, the reconstruction's first layer
-                for pair in pairs[-2::-1]:
-                    q = clamp_unit(q @ pair.widen(pair.wb))
+                    if peak == 0.0:  # skip the pairs left: every later layer is 0
+                        q = np.zeros(batch.shape)
+                        break
+                    a, q = pair.step(a)
+                    peak = a.max()
+                else:  # q: the innermost pair's decode output, the reconstruction's first layer
+                    for pair in pairs[-2::-1]:
+                        q = clamp_unit(q @ pair.widen(pair.wb))
                 err = reconstruction_error(batch, q)
                 errors.append(err)
                 curve.append((offset + len(errors), err))

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from lrnn import LrnnModel, load_model, save_model, validate_constraints
-from lrnn.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+import lrnn.training
+from lrnn.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 
 
 @pytest.fixture
@@ -416,3 +417,13 @@ class TestExitCodes:
         if code == EXIT_DATA:
             assert len(err.splitlines()) == 1, err
         assert not paths["out"].exists()  # a failed command leaves no output
+
+    def test_library_value_error_is_a_numeric_failure(self, paths, monkeypatch, capsys):
+        def diverge(*args, **kwargs):
+            raise ValueError("training diverged")
+
+        monkeypatch.setattr(lrnn.training, "train", diverge)
+        capsys.readouterr()
+        assert main([a.format(**paths) for a in _train()]) == EXIT_NUMERIC
+        assert capsys.readouterr().err.splitlines() == ["numeric failure: training diverged"]
+        assert not paths["out"].exists()

@@ -48,6 +48,12 @@ class TestLoadIdx:
         with pytest.raises(ValueError, match="truncated"):
             load_dataset(path, "idx")
 
+    def test_shorter_than_its_header(self, tmp_path):
+        short = tmp_path / "short.idx"
+        short.write_bytes(struct.pack(">ii", IDX_IMAGE_MAGIC, 1) + b"\x00\x00")
+        with pytest.raises(ValueError, match=r"truncated IDX header \(10 bytes\)"):
+            load_dataset(short, "idx")
+
     def test_deterministic(self, idx_file):
         rng = np.random.default_rng(0)
         path = idx_file(rng.integers(0, 256, (5, 4, 4)).astype(np.uint8))
@@ -131,6 +137,13 @@ class TestLoadCifar10:
         bad.write_bytes(b"\x00" * 5000)
         with pytest.raises(ValueError, match="multiple of 3073"):
             load_dataset(bad, "cifar")
+
+    def test_no_batch_files(self, tmp_path):
+        with pytest.raises(ValueError, match="no CIFAR-10 batch files given"):
+            load_dataset([], "cifar")
+        (tmp_path / "readme.txt").write_text("no batches here\n")
+        with pytest.raises(ValueError, match=re.escape(f"no *.bin batch files under {tmp_path}")):
+            load_dataset(tmp_path, "cifar")
 
 
 class TestLoadCsv:
@@ -419,6 +432,12 @@ class TestIterMinibatches:
         with pytest.raises(ValueError, match="batch_size"):
             list(iter_minibatches(np.ones((3, 1)), 0))
 
+    @pytest.mark.parametrize("batch_size", [2.0, True, "2"])
+    def test_batch_size_that_is_not_an_integer_refused(self, batch_size):
+        message = f"batch_size must be an integer >= 1, got {batch_size!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            list(iter_minibatches(np.ones((3, 1)), batch_size))
+
     @pytest.mark.parametrize("bad, message", [
         (np.nan, "NaN or infinite"), (np.inf, "NaN or infinite"), (-1.0, "nonnegative")])
     def test_array_checked_as_a_dataset(self, bad, message):
@@ -460,6 +479,13 @@ class TestManifest:
     def test_unknown_name(self, dataset_manifest):
         with pytest.raises(ValueError, match="not in manifest"):
             load_dataset(dataset_manifest, name="nope")
+
+    @pytest.mark.parametrize("text", ["{}", "[]", '"iris"'])
+    def test_manifest_that_is_not_a_non_empty_object(self, tmp_path, text):
+        bad = tmp_path / "m.json"
+        bad.write_text(text)
+        with pytest.raises(ValueError, match="manifest must be a non-empty JSON object"):
+            load_dataset(bad)
 
     def test_malformed_manifest(self, tmp_path):
         bad = tmp_path / "m.json"

@@ -1,5 +1,6 @@
 """Forward-pass mathematics, reconstruction error and constraint checking."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -65,6 +66,18 @@ class TestModelStructure:
     def test_decode_must_mirror_encode(self):
         with pytest.raises(ValueError, match="mirror"):
             LrnnModel([np.zeros((4, 2))], [np.zeros((2, 3))])
+
+    def test_broken_decode_chain_refused_as_no_mirror(self):
+        message = "decode shapes [(2, 2), (3, 4)] must mirror the encode shapes: [(2, 3), (3, 4)]"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            LrnnModel(
+                [np.zeros((4, 3)), np.zeros((3, 2))],
+                [np.zeros((2, 2)), np.zeros((3, 4))],
+            )
+
+    def test_no_layers_rejected(self):
+        with pytest.raises(ValueError, match="at least one encode and one decode layer"):
+            LrnnModel([], [])
 
     def test_depth_mismatch_rejected(self):
         with pytest.raises(ValueError, match="depth"):
@@ -142,6 +155,10 @@ class TestReconstructionError:
         # the mean of no values is NaN, with a RuntimeWarning
         with pytest.raises(ValueError, match=r"^empty batch of shape \(0, 3\)$"):
             reconstruction_error(np.zeros((0, 3)), np.zeros((0, 3)))
+
+    def test_dataset_error_of_no_rows_refused(self):
+        with pytest.raises(ValueError, match="^empty dataset$"):
+            dataset_error(init_weights([3, 2], seed=0), np.zeros((0, 3)))
 
     @given(nonneg_matrices)
     def test_nonnegative_and_zero_iff_equal(self, m):

@@ -41,6 +41,17 @@ class TestRoundTrip:
         save_model(model, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_save_writes_row_by_row(self, tmp_path):
+        """Saving a 784 -> 100 model (3.4 MB of text) allocates well under 1 MB."""
+        model = init_weights([784, 100], seed=0)
+        tracemalloc.start()
+        try:
+            save_model(model, tmp_path / "m.lrnn")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
 
 #: An LRNN1 file written by hand: 17 significant digits, shortest form
 #: for exact values, one space between values and a final newline.

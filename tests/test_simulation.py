@@ -1,6 +1,7 @@
 """Spiking simulation: compilation, the layer-sweep engine and its
 cross-check against the event-by-event reference, estimation."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -64,6 +65,15 @@ class TestCompileSim:
             w = np.array([[bad, 0.1]])
             with pytest.raises(ValueError, match=r"visual -> enc1\) has NaN or infinite"):
                 SimNetwork([w], [0.5], ["visual", "enc1"])
+
+    def test_row_sum_above_one_refused(self):
+        w = np.array([[0.7, 0.6]])
+        with pytest.raises(ValueError, match=r"visual -> enc1\) has a row sum above 1"):
+            SimNetwork([w], [0.5], ["visual", "enc1"])
+
+    def test_layer_without_neurons(self):
+        net = SimNetwork([np.zeros((0, 2))], [], ["v", "h"])
+        assert net.layer_sizes == [0, 2] and net.n_neurons == 2
 
     def test_sizes_read_off_the_chain(self):
         net = compile_sim(init_weights([6, 4, 3], seed=0), np.full(6, 0.5))
@@ -234,6 +244,16 @@ class TestRun:
         with pytest.raises(ValueError, match="burn_in"):
             run(net, 10_000, observe_every=1000, burn_in=-5)
 
+    @pytest.mark.parametrize("name, value, least", [
+        ("n_events", 5000.0, 1), ("n_events", 1e6, 1), ("observe_every", 2.5, 1),
+        ("observe_every", 0, 1), ("burn_in", 10.5, 0),
+    ])
+    def test_counts_that_are_not_integers_refused(self, name, value, least):
+        net = compile_sim(scalar_model(), [0.7])
+        message = f"{name} must be an integer >= {least}, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run(net, **{"n_events": 5000, name: value})
+
     def test_dead_network_raises(self):
         net = compile_sim(scalar_model(), [0.0])
         with pytest.raises(DeadNetworkError):
@@ -308,6 +328,18 @@ class TestEnsembleAndCompare:
         est = QEstimate(np.array([0.4 / 0.6, 0.56 / 0.44, 0.504 / 0.496]), 1, [1, 1, 1], ["visual", "enc1", "dec1"])
         diffs = compare(est, numeric)
         assert diffs[0].max_abs_diff == pytest.approx(0.3, abs=1e-12)
+
+    def test_compare_layer_count_mismatch(self):
+        est = QEstimate(np.zeros(3), 1, [1, 1, 1], ["visual", "enc1", "dec1"])
+        other = forward(init_weights([1, 1, 1], seed=0), [[0.5]])
+        with pytest.raises(ValueError, match="3 simulated layers vs 5 numeric layers"):
+            compare(est, other)
+
+    def test_compare_needs_one_instance(self):
+        est = QEstimate(np.zeros(3), 1, [1, 1, 1], ["visual", "enc1", "dec1"])
+        two = forward(scalar_model(), [[0.7], [0.5]])
+        with pytest.raises(ValueError, match="numeric activations must hold exactly one instance"):
+            compare(est, two)
 
     def test_compare_shape_mismatch(self):
         est = QEstimate(np.zeros(3), 1, [1, 1, 1], ["visual", "enc1", "dec1"])

@@ -66,6 +66,14 @@ class TestSolveSteadyState:
         assert exc.value.iterations == 3
         assert exc.value.residual > 0.0
 
+    def test_max_iter_not_an_integer_refused(self):
+        message = "max_iter must be an integer >= 1, got 2.5"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            solve_steady_state(spec_of(1, lam_plus=[0.3]), max_iter=2.5)
+
+    def test_no_neurons(self):
+        assert solve_steady_state(spec_of(0)).shape == (0,)
+
     def test_damping_converges_to_same_fixed_point(self, monkeypatch):
         # Mutual inhibition makes the update direction reverse every sweep;
         # with a small oscillation window the damped branch engages and must

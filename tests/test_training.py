@@ -102,6 +102,12 @@ class TestUpdateRules:
         assert np.isfinite(new_w).all()
         assert new_w[0, 0] == 0.0  # numerator is zero as well
 
+    def test_activations_of_the_wrong_width_refused(self):
+        model = init_weights([3, 2], seed=0)
+        for update in (update_encode, update_decode):
+            with pytest.raises(ValueError, match="activations have 4 columns, layer 1 expects 3"):
+                update(model, 1, np.ones((2, 4)))
+
     def test_nonnegativity_preserved(self):
         rng = np.random.default_rng(7)
         for seed in range(5):
@@ -145,6 +151,10 @@ class TestRescaleSaturation:
         out = rescale_saturation(w, np.zeros((3, 1)))
         np.testing.assert_array_equal(out, w)
 
+    def test_no_rows_leave_w_unchanged(self):
+        w = np.array([[0.7, 0.2], [0.1, 0.3], [0.4, 0.4]])
+        np.testing.assert_array_equal(rescale_saturation(w, np.zeros((0, 3))), w)
+
     def test_only_saturated_units_scaled(self):
         # unit 0 peaks at 2 and is halved; unit 1 peaks at 0.4 and stays
         w = np.array([[4.0, 0.8]])
@@ -183,7 +193,9 @@ class TestInitWeights:
         with pytest.raises(ValueError):
             init_weights([4, 0], seed=0)
 
-    @pytest.mark.parametrize("dims", [[784, 100.5], [4, 2.0], ["4", "2"], np.array([4.0, 2.0])])
+    @pytest.mark.parametrize(
+        "dims", [[784, 100.5], [4, 2.0], ["4", "2"], np.array([4.0, 2.0]), [True, 1]]
+    )
     def test_sizes_that_are_not_integers_refused(self, dims):
         with pytest.raises(ValueError, match="encode dims need >= 2 positive integers"):
             init_weights(dims, seed=0)
@@ -219,6 +231,7 @@ class TestTrainShallow:
             ("batch_size", 2.5), ("max_epochs", 1.5), ("max_iterations", 3.0),
             ("max_iterations", "3"),
             ("rel_tol", -1.0), ("rel_tol", np.nan), ("rel_tol", np.inf),
+            ("batch_size", True), ("seed", 1.5), ("seed", -1), ("rel_tol", "0.1"),
         ):
             with pytest.raises(ValueError, match=name):
                 TrainConfig(**{name: value})
