@@ -6,6 +6,9 @@
     lrnn simulate --model model.lrnn --data X --index 0 --events 1000000 \
                   --observe-every 1000 --seed 0 --out sim.csv
 
+Model files are binary (LRNN2, see :mod:`lrnn.model_io`); ``--curve``,
+``--dump`` and the simulate ``--out`` stay CSV text.
+
 Exit codes are decided in one place, :func:`main`, which prints one line
 for a failure:
 

@@ -290,15 +290,25 @@ def _scan_csv(path, delimiter: str, has_header: bool, label_column: int | None) 
         if empty.size:
             raise ValueError(f"{path}: column(s) {empty.tolist()} have no values at all")
         x[rows, cols] = math.nan
-        x[rows, cols] = np.nanmean(x, axis=0)[cols]
+        # Averaged over a power of two that puts each column inside (-2, 2),
+        # a column's sum cannot overflow; scaling by a power of two changes no
+        # bit of the mean unless a scaled value is subnormal.
+        scale = np.ldexp(1.0, np.frexp(np.nanmax(np.abs(x), axis=0))[1] - 1)
+        x[rows, cols] = (np.nanmean(x / scale, axis=0) * scale)[cols]
     return x
 
 
 def _normalize_unit_interval(x: np.ndarray) -> np.ndarray:
-    """Linearly map each column onto [0, 1]; constant columns map to 0."""
-    mins = x.min(axis=0)
-    spans = x.max(axis=0) - mins
-    out = x - mins  # exactly 0 in a constant column, so dividing it by 1 keeps 0
+    """Linearly map each column onto [0, 1]; constant columns map to 0.
+
+    Values and ends are halved before they are subtracted, so the span of
+    any finite column is finite.  Halving changes no bit of the result
+    unless a halved value or difference is subnormal.
+    """
+    mins = x.min(axis=0) / 2.0
+    spans = x.max(axis=0) / 2.0 - mins
+    out = x / 2.0
+    out -= mins  # exactly 0 in a constant column, so dividing it by 1 keeps 0
     out /= np.where(spans > 0.0, spans, 1.0)
     return out
 

@@ -1,45 +1,51 @@
-"""Plain-text model files.
+"""Model files: LRNN2, raw weights behind a text header, and LRNN1, text.
 
-Layout (whitespace separated, one matrix row per line):
+Both layouts open with the same three text lines:
 
-    LRNN1
+    LRNN2                  (or LRNN1)
     depth M
     dims V H_1 ... H_M
-    W 1 rows cols
-    <rows lines of cols values>
-    ...
-    WB 1 rows cols
-    ...
 
-``np.savetxt`` writes the values with 17 significant digits, which
-round-trips IEEE doubles exactly, so save/load reproduces every weight bit
-for bit.  On load, values are whitespace-separated numbers as
-``np.loadtxt`` reads them (``1_0``, which only ``float`` reads, is
-refused); declared sizes are checked against the lines present before any
-block is parsed, so no array outgrows the file; a row-by-row read only
-words why a block was refused; and the RNN constraints are checked again.
+``save_model`` writes LRNN2 only.  After its header come W 1 .. W M and
+then WB 1 .. WB M, each as raw little-endian float64 (``<f8``) bytes in
+row-major order, with no line between blocks.  Block shapes follow from
+``dims``: W m is H_{m-1} x H_m and WB m mirrors the encode chain.  The
+bytes are the weights themselves, so save/load reproduces every weight bit
+for bit.  On load the file's length must equal the header's plus 8 bytes
+per declared weight, checked before any array is allocated, so a short
+payload, trailing bytes and sizes the file does not hold are refused.
+
+LRNN1, which earlier versions wrote, is still read.  After its header, each
+block is a line ``W m rows cols`` (``WB m`` for decode blocks) followed by
+one line of whitespace-separated values per matrix row; blank lines and
+extra whitespace are ignored.  Values are numbers as ``np.loadtxt`` reads
+them (``1_0``, which only ``float`` reads, is refused); declared sizes are
+checked against the lines present before any block is parsed, so no array
+outgrows the file; a row-by-row read only words why a block was refused.
+
+Either way the RNN constraints are checked again on the loaded weights.
 """
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import numpy as np
 
 from .model import LrnnModel, reject_violations, validate_constraints
 
-FORMAT_TAG = "LRNN1"
+FORMAT_TAG = "LRNN2"  # the layout save_model writes
+TEXT_TAG = "LRNN1"
 
 
 def save_model(model: LrnnModel, path) -> None:
-    """Write ``model`` to ``path`` in the LRNN1 text format."""
-    with open(path, "w") as f:
+    """Write ``model`` to ``path`` in the LRNN2 layout, one matrix at a time."""
+    with open(path, "wb") as f:
         dims = " ".join(str(d) for d in model.encode_dims)
-        f.write(f"{FORMAT_TAG}\ndepth {model.depth}\ndims {dims}\n")
-        for marker, chain in (("W", model.encode_weights), ("WB", model.decode_weights)):
-            for m, w in enumerate(chain, start=1):
-                f.write(f"{marker} {m} {w.shape[0]} {w.shape[1]}\n")
-                np.savetxt(f, w, fmt="%.17g")
+        f.write(f"{FORMAT_TAG}\ndepth {model.depth}\ndims {dims}\n".encode())
+        for w in model.encode_weights + model.decode_weights:
+            f.write(np.ascontiguousarray(w, dtype="<f8"))
 
 
 def _line(path: Path, lines: list[str], pos: int, what: str) -> str:
@@ -95,28 +101,62 @@ def _header_size(path: Path, what: str, text: str) -> int:
     return value
 
 
-def load_model(path) -> LrnnModel:
-    """Read an LRNN1 text file back into a constraint-checked model."""
-    path = Path(path)
-    lines = [line for line in map(str.strip, path.read_text().splitlines()) if line]
-    tag = _line(path, lines, 0, "format tag")
-    if tag != FORMAT_TAG:
-        raise ValueError(f"{path}: version tag mismatch, got {tag!r}, expected {FORMAT_TAG!r}")
+def _read_dims(path: Path, lines: list[str]) -> list[int]:
+    """The sizes V, H_1 .. H_M that the depth and dims lines, ``lines[1:3]``, declare."""
     depth_line = _line(path, lines, 1, "depth").split()
     if len(depth_line) != 2 or depth_line[0] != "depth":
         raise ValueError(f"{path}: malformed depth line {' '.join(depth_line)!r}")
     depth = _header_size(path, "depth", depth_line[1])
     dims_line = _line(path, lines, 2, "dims").split()
-    if dims_line[0] != "dims" or len(dims_line) != depth + 2:
+    if dims_line[:1] != ["dims"] or len(dims_line) != depth + 2:
         raise ValueError(f"{path}: dims line must list {depth + 1} sizes")
-    dims = [_header_size(path, "dims size", v) for v in dims_line[1:]]
+    return [_header_size(path, "dims size", v) for v in dims_line[1:]]
+
+
+def _read_payload(path: Path, f, dims: list[int]) -> tuple[list, list]:
+    """The encode and decode chains of an LRNN2 file, ``f`` positioned past its header."""
+    shapes = list(zip(dims, dims[1:]))
+    expected = f.tell() + 16 * sum(rows * cols for rows, cols in shapes)
+    actual = os.fstat(f.fileno()).st_size
+    if actual != expected:  # before any array is allocated
+        fault = "payload ends early" if actual < expected else "trailing bytes after the final block"
+        raise ValueError(f"{path}: {fault}: dims {' '.join(map(str, dims))} need "
+                         f"{expected} bytes, the file has {actual}")
+    encode = [np.empty(shape, dtype="<f8") for shape in shapes]
+    decode = [np.empty((cols, rows), dtype="<f8") for rows, cols in reversed(shapes)]
+    for w in encode + decode:
+        if f.readinto(w) != w.nbytes:
+            raise ValueError(f"{path}: file shrank while it was read")
+    return encode, decode
+
+
+def _read_text(path: Path) -> tuple[list, list]:
+    """The encode and decode chains of an LRNN1 file."""
+    lines = [line for line in map(str.strip, path.read_text(errors="replace").splitlines()) if line]
+    tag = _line(path, lines, 0, "format tag")
+    if tag != TEXT_TAG:
+        raise ValueError(f"{path}: version tag mismatch, got {tag!r}, "
+                         f"expected {FORMAT_TAG!r} or {TEXT_TAG!r}")
+    dims = _read_dims(path, lines)
     encode, decode, pos = [], [], 3
     for marker, sizes, chain in (("W", dims, encode), ("WB", dims[::-1], decode)):
-        for m in range(depth):
+        for m in range(len(dims) - 1):
             chain.append(_read_block(path, lines, pos, marker, m + 1, sizes[m], sizes[m + 1]))
             pos += 1 + sizes[m]
     if pos < len(lines):
         raise ValueError(f"{path}: trailing content after the final block")
+    return encode, decode
+
+
+def load_model(path) -> LrnnModel:
+    """Read an LRNN2 or LRNN1 file back into a constraint-checked model."""
+    path = Path(path)
+    with open(path, "rb") as f:
+        if f.readline(64).strip() == FORMAT_TAG.encode():
+            header = [FORMAT_TAG] + [f.readline().decode("ascii", "replace") for _ in range(2)]
+            encode, decode = _read_payload(path, f, _read_dims(path, header))
+        else:
+            encode, decode = _read_text(path)
     model = LrnnModel(encode, decode)
     reject_violations(validate_constraints(model), f"{path}: stored model")
     return model

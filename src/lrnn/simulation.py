@@ -46,6 +46,7 @@ given (network, event budget, seed).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
@@ -280,6 +281,12 @@ def run(
     last_departure = [np.zeros(size) for size in net.layer_sizes]
     held = [(np.zeros(0), np.zeros(0, dtype=np.intp))] * len(net.layer_sizes)
     slab_arrivals = max(1, _SLAB_EVENTS // (len(net.layer_sizes) + 1))
+    longest = min(slab_arrivals, n_events)  # arrivals of the longest slab
+    if longest / total_rate == math.inf:
+        raise ValueError(
+            f"total arrival rate {total_rate!r} is too small: "
+            f"{longest} arrivals take longer than the largest float"
+        )
 
     n = net.n_neurons
     potential = np.zeros(n)  # at the slab's start

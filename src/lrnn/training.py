@@ -56,12 +56,14 @@ layer.
 
 One minibatch loop does all training: per batch, each encode layer and its
 mirrored decode layer are updated in turn, feeding the clamped activations
-forward.  A pair whose input is all zero is skipped, as the rules would zero
-it for good.  ``algo="joint"`` runs the loop once over all layers (a shallow
-model is the one-hidden-layer case); ``algo="greedy"`` runs it once per
-stage, stage m being a depth-1 model seeded ``cfg.seed + m - 1`` and fit on
-the clamped code of stage m-1.  Observers see the model trained so far: in
-greedy mode the finished stages stacked around the current one.
+forward.  A pair whose input is zero on every live unit is skipped, with
+the pairs inside it, as the rules would zero it for good: a batch that
+lies only on dead units leaves the model alone.  ``algo="joint"`` runs the
+loop once over all layers (a shallow model is the one-hidden-layer case);
+``algo="greedy"`` runs it once per stage, stage m being a depth-1 model
+seeded ``cfg.seed + m - 1`` and fit on the clamped code of stage m-1.
+Observers see the model trained so far: in greedy mode the finished
+stages stacked around the current one.
 """
 
 from __future__ import annotations
@@ -295,15 +297,17 @@ class _LivePair:
         w[self.live] = self.w
         return w, self.widen(self.wb)
 
+    def gather(self, a: np.ndarray) -> np.ndarray:
+        """The columns of ``a`` (all visible units) that belong to the live units."""
+        return a if self.live is None else a[:, self.live]
+
     def step(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One pair update on input activations ``a`` (all visible units).
+        """One pair update on input activations ``a`` of the live units (:meth:`gather`).
 
         Returns h = min(a @ w, 1), the activations feeding the next layer,
         and min(h @ wb, 1) for the new wb over all visible units, the pair's
         decode output.
         """
-        if self.live is not None:
-            a = a[:, self.live]
         self.w, self.wb, h, q = _pair_update(a, self.w, self.wb)
         q = self.widen(q)
         self._drop_dead()
@@ -315,7 +319,7 @@ def _pair_step(a, w, wb):
     a single :meth:`_LivePair.step`.  Returns the new W and WB, h and the
     decode output (see there)."""
     pair = _LivePair(w, wb)
-    h, q = pair.step(a)
+    h, q = pair.step(pair.gather(a))
     return (*pair.weights(), h, q)
 
 
@@ -373,15 +377,13 @@ def _fit(x: Dataset, model, first, cfg, curve, observer) -> None:
         while cfg.max_epochs is None or epoch < cfg.max_epochs:
             epoch += 1
             for batch in iter_minibatches(x, cfg.batch_size, order_rng, cfg.shuffle):
-                a, peak = batch, batch.max()
-                if peak > 1.0:
-                    a = clamp_unit(batch)
+                a = clamp_unit(batch) if batch.max() > 1.0 else batch
                 for pair in pairs:
-                    if peak == 0.0:  # skip the pairs left: every later layer is 0
+                    a = pair.gather(a)
+                    if not a.any():  # 0 on every live unit: skip the pairs left
                         q = np.zeros(batch.shape)
                         break
                     a, q = pair.step(a)
-                    peak = a.max()
                 else:  # q: the innermost pair's decode output, the reconstruction's first layer
                     for pair in pairs[-2::-1]:
                         q = clamp_unit(q @ pair.widen(pair.wb))

@@ -1,11 +1,17 @@
 """Command-line flows: training, evaluation, simulation, exit codes."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lrnn import LrnnModel, load_model, save_model, validate_constraints
+from lrnn import LrnnModel, init_weights, load_model, save_model, validate_constraints
 import lrnn.training
 from lrnn.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 
@@ -427,3 +433,62 @@ class TestExitCodes:
         assert main([a.format(**paths) for a in _train()]) == EXIT_NUMERIC
         assert capsys.readouterr().err.splitlines() == ["numeric failure: training diverged"]
         assert not paths["out"].exists()
+
+
+#: CSV cells: ordinary, extreme but finite, subnormal and missing.
+_CELLS = st.sampled_from(["0", "1", "0.5", "3", "-2", "1e308", "-1e308", "1.7976931348623157e308",
+                          "-1.7976931348623157e308", "5e-324", "2.2e-308", "1e-300", "", "?"])
+
+
+@st.composite
+def cli_runs(draw):
+    """A small table, then flags for train, eval and simulate, and the damage
+    done to the model file before eval and simulate read it."""
+    width = draw(st.integers(1, 4))
+    table = "".join(",".join(draw(_CELLS) for _ in range(width)) + "\n"
+                    for _ in range(draw(st.integers(1, 6))))
+    algo = draw(st.sampled_from(["shallow", "joint", "greedy"]))
+    arch = [draw(st.sampled_from([width, width + 1])), draw(st.integers(1, 3))]
+    arch += [] if algo == "shallow" or draw(st.booleans()) else [1]
+    count = st.integers(1, 4).map(str)
+    train = ["--arch", ",".join(map(str, arch)), "--algo", algo, "--iters", draw(count),
+             "--batch", draw(count), "--seed", draw(count), *draw(st.sampled_from([[], ["--shuffle"]]))]
+    damage = draw(st.sampled_from([None, "truncate", "flip"])), draw(st.integers(0, 10**6))
+    simulate = ["--index", draw(st.integers(0, 6).map(str)),
+                "--events", draw(st.integers(1, 3000).map(str)),
+                "--observe-every", draw(st.integers(1, 300).map(str)),
+                "--burn-in", draw(st.integers(0, 100).map(str)), "--seed", draw(count)]
+    return width, table, train, damage, simulate
+
+
+def _exit(argv) -> int:
+    """``main(argv)``'s exit code, checked: 0 to 3, and one stderr line on failure."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC)
+    if code != EXIT_OK:
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+    return code
+
+
+@settings(max_examples=60, deadline=None)
+@given(cli_runs())
+def test_fuzz_of_main(run):
+    """Every command on random tables, flags and damaged model files exits
+    with a documented code and one line; no warning escapes (tier-1 makes
+    warnings errors)."""
+    width, table, train, (damage, position), simulate = run
+    with tempfile.TemporaryDirectory() as tmp:
+        data, model = Path(tmp) / "t.csv", Path(tmp) / "m.lrnn"
+        data.write_text(table)
+        if _exit(["train", "--data", str(data), *train, "--out", str(model)]) != EXIT_OK:
+            save_model(init_weights([width, 2], seed=0), model)
+        blob = bytearray(model.read_bytes())
+        if damage == "truncate":
+            del blob[position % len(blob):]
+        elif damage == "flip":
+            blob[position % len(blob)] ^= 1 + position % 255
+        model.write_bytes(blob)
+        _exit(["eval", "--model", str(model), "--data", str(data)])
+        _exit(["simulate", "--model", str(model), "--data", str(data), *simulate])

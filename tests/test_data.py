@@ -393,6 +393,48 @@ class TestNormalize:
         assert out.min() >= 0.0
         assert out.max() <= 1.0
 
+    def test_bits_of_the_direct_formula(self):
+        """Halving first gives (x - min) / (max - min) bit for bit on normal values."""
+        rng = np.random.default_rng(3)
+        x = rng.normal(0.0, 1.0, (200, 6)) * 10.0 ** rng.integers(-300, 300, (1, 6))
+        mins, spans = x.min(axis=0), x.max(axis=0) - x.min(axis=0)
+        np.testing.assert_array_equal(_normalize_unit_interval(x).view(np.uint64),
+                                      ((x - mins) / spans).view(np.uint64))
+
+    def test_span_past_the_largest_float(self, tmp_path):
+        """A column from -1e308 to 1e308 spans 2e308, which float64 cannot hold."""
+        f = tmp_path / "t.csv"
+        f.write_text("-1e308,0\n0,1\n1e308,2\n")
+        x = load_dataset(f).rows(slice(None))
+        np.testing.assert_array_equal(x, [[0.0, 0.0], [0.5, 0.5], [1.0, 1.0]])
+
+
+class TestImpute:
+    def test_column_sum_past_the_largest_float(self, tmp_path):
+        """The finite values of column 1 sum to 2e308; the mean is exact."""
+        f = tmp_path / "t.csv"
+        f.write_text(",0.5\n1,1e308\n1,1e308\n0,0\n0,\n")
+        x = _load_csv(f)
+        assert x[0, 0] == 0.5 and x[4, 1] == 1e308 / 2
+        x = load_dataset(f).rows(slice(None))
+        np.testing.assert_array_equal(x[:, 1], [0.5 / 1e308, 1.0, 1.0, 0.0, 0.5])
+
+    def test_bits_of_nanmean(self, tmp_path):
+        """Scaling by a power of two gives ``np.nanmean``'s bits on normal values."""
+        rng = np.random.default_rng(4)
+        x = rng.random((50, 5)) * 10.0 ** rng.integers(-300, 300, (1, 5))
+        holes = rng.random(x.shape) < 0.2
+        holes[0] = False
+        f = tmp_path / "t.csv"
+        f.write_text("".join(
+            ",".join("" if h else repr(v) for v, h in zip(row, hole)) + "\n"
+            for row, hole in zip(x.tolist(), holes)
+        ))
+        want = np.nanmean(np.where(holes, np.nan, x), axis=0)
+        got = _load_csv(f)
+        np.testing.assert_array_equal(got[holes].view(np.uint64),
+                                      np.broadcast_to(want, x.shape)[holes].view(np.uint64))
+
 
 class TestIterMinibatches:
     def test_ceiling_split(self):

@@ -1,4 +1,4 @@
-"""Text model files: exact round trips and validation on load."""
+"""Model files: exact LRNN2 round trips, LRNN1 loads and validation on load."""
 
 import re
 import tracemalloc
@@ -9,6 +9,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrnn import LrnnModel, forward, init_weights, load_model, save_model
+
+
+def write_lrnn1(model: LrnnModel, path) -> None:
+    """Write ``model`` as an LRNN1 text file, as versions before LRNN2 did."""
+    with open(path, "w") as f:
+        dims = " ".join(str(d) for d in model.encode_dims)
+        f.write(f"LRNN1\ndepth {model.depth}\ndims {dims}\n")
+        for marker, chain in (("W", model.encode_weights), ("WB", model.decode_weights)):
+            for m, w in enumerate(chain, start=1):
+                f.write(f"{marker} {m} {w.shape[0]} {w.shape[1]}\n")
+                np.savetxt(f, w, fmt="%.17g")
+
+
+def assert_bits_equal(model: LrnnModel, other: LrnnModel) -> None:
+    assert model.encode_dims == other.encode_dims
+    for a, b in zip(model.encode_weights + model.decode_weights,
+                    other.encode_weights + other.decode_weights):
+        np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 class TestRoundTrip:
@@ -42,7 +60,7 @@ class TestRoundTrip:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_save_writes_row_by_row(self, tmp_path):
-        """Saving a 784 -> 100 model (3.4 MB of text) allocates well under 1 MB."""
+        """Saving a 784 -> 100 model (1.25 MB of weights) allocates well under 1 MB."""
         model = init_weights([784, 100], seed=0)
         tracemalloc.start()
         try:
@@ -51,6 +69,23 @@ class TestRoundTrip:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+    def test_loaded_weights_are_writable(self, tmp_path):
+        """Callers update a loaded model in place."""
+        path = tmp_path / "m.lrnn"
+        save_model(init_weights([4, 3, 2], seed=3), path)
+        loaded = load_model(path)
+        for w in loaded.encode_weights + loaded.decode_weights:
+            assert w.flags.writeable and w.flags.c_contiguous and w.dtype == np.float64
+            w *= 0.5
+
+    def test_lrnn1_file_loads_bit_identical(self, tmp_path):
+        """A model saved as text before LRNN2 loads to the same weights."""
+        model = init_weights([9, 5, 2], seed=21)
+        path = tmp_path / "m.lrnn"
+        write_lrnn1(model, path)
+        assert path.read_text().startswith("LRNN1\n")
+        assert_bits_equal(load_model(path), model)
 
 
 #: An LRNN1 file written by hand: 17 significant digits, shortest form
@@ -67,24 +102,37 @@ WB 1 2 2
 """
 
 
-class TestGoldenFile:
-    def golden_model(self):
-        w = np.array([[1.0 / 3.0, 0.5], [np.nextafter(0.5, 1.0), 2**-40]])
-        wb = np.array([[0.0, 1.0], [0.1, 0.2]])
-        return LrnnModel([w], [wb])
+#: The same model as LRNN2: the header lines, then W 1 and WB 1 as
+#: little-endian float64, row after row.
+GOLDEN_BYTES = b"LRNN2\ndepth 1\ndims 2 2\n" + bytes.fromhex(
+    "555555555555d53f" "000000000000e03f"  # W 1 row 0: 1/3, 0.5
+    "010000000000e03f" "000000000000703d"  # W 1 row 1: nextafter(0.5, 1), 2**-40
+    "0000000000000000" "000000000000f03f"  # WB 1 row 0: 0, 1
+    "9a9999999999b93f" "9a9999999999c93f"  # WB 1 row 1: 0.1, 0.2
+)
 
-    def test_save_writes_the_golden_text(self, tmp_path):
+
+def golden_model():
+    w = np.array([[1.0 / 3.0, 0.5], [np.nextafter(0.5, 1.0), 2**-40]])
+    wb = np.array([[0.0, 1.0], [0.1, 0.2]])
+    return LrnnModel([w], [wb])
+
+
+class TestGoldenFile:
+    def test_save_writes_the_golden_bytes(self, tmp_path):
         path = tmp_path / "m.lrnn"
-        save_model(self.golden_model(), path)
-        assert path.read_text() == GOLDEN_TEXT
+        save_model(golden_model(), path)
+        assert path.read_bytes() == GOLDEN_BYTES
+
+    def test_golden_bytes_load_bit_exact(self, tmp_path):
+        path = tmp_path / "m.lrnn"
+        path.write_bytes(GOLDEN_BYTES)
+        assert_bits_equal(load_model(path), golden_model())
 
     def test_golden_text_loads_bit_exact(self, tmp_path):
         path = tmp_path / "m.lrnn"
         path.write_text(GOLDEN_TEXT)
-        loaded, model = load_model(path), self.golden_model()
-        for a, b in zip(loaded.encode_weights + loaded.decode_weights,
-                        model.encode_weights + model.decode_weights):
-            np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+        assert_bits_equal(load_model(path), golden_model())
 
     def test_blank_lines_and_extra_whitespace_load(self, tmp_path):
         path = tmp_path / "m.lrnn"
@@ -151,6 +199,40 @@ def test_load_error_message(tmp_path, body, message):
     assert str(excinfo.value).startswith(f"{f}: ")
 
 
+#: (name, change to GOLDEN_BYTES, message) of LRNN2 load errors.
+BINARY_LOAD_ERRORS = [
+    ("short payload", lambda b: b[:-8],
+     "payload ends early: dims 2 2 need 87 bytes, the file has 79"),
+    ("header only", lambda b: b[:23], "payload ends early: dims 2 2 need 87 bytes, the file has 23"),
+    ("extra bytes", lambda b: b + b"\0",
+     "trailing bytes after the final block: dims 2 2 need 87 bytes, the file has 88"),
+    ("newline after the payload", lambda b: b + b"\n", "trailing bytes after the final block"),
+    ("dims that disagree with the length", lambda b: b.replace(b"dims 2 2", b"dims 2 3"),
+     "payload ends early: dims 2 3 need 119 bytes, the file has 87"),
+    ("dims of a smaller model", lambda b: b.replace(b"dims 2 2", b"dims 2 1"),
+     "trailing bytes after the final block: dims 2 1 need 55 bytes, the file has 87"),
+    ("wrong tag", lambda b: b.replace(b"LRNN2", b"LRNN3"),
+     "version tag mismatch, got 'LRNN3', expected 'LRNN2' or 'LRNN1'"),
+    ("malformed depth line", lambda b: b.replace(b"depth 1", b"deep 1"),
+     "malformed depth line 'deep 1'"),
+    ("no dims line", lambda b: b[:14], "dims line must list 2 sizes"),
+    ("NaN payload", lambda b: b[:-8] + np.array([np.nan]).astype("<f8").tobytes(),
+     "stored model violates RNN constraints (1 row(s); first: WB1 row 1 non_finite nan)"),
+    ("negative payload", lambda b: b[:-8] + np.array([-0.5]).astype("<f8").tobytes(),
+     "stored model violates RNN constraints (1 row(s); first: WB1 row 1 negative -0.5)"),
+]
+
+
+@pytest.mark.parametrize("change, message", [c[1:] for c in BINARY_LOAD_ERRORS],
+                         ids=[c[0] for c in BINARY_LOAD_ERRORS])
+def test_binary_load_error_message(tmp_path, change, message):
+    f = tmp_path / "m.lrnn"
+    f.write_bytes(change(GOLDEN_BYTES))
+    with pytest.raises(ValueError, match=re.escape(message)) as excinfo:
+        load_model(f)
+    assert str(excinfo.value).startswith(f"{f}: ")
+
+
 class TestDeclaredSizes:
     def test_size_beyond_the_file_refused_without_allocating_it(self, tmp_path):
         """A header's sizes are checked against the lines present before any parse."""
@@ -159,6 +241,19 @@ class TestDeclaredSizes:
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="unexpected end of file, expected row 1 of block W 1"):
+                load_model(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_binary_header_of_a_billion_rows_refused_without_allocating_it(self, tmp_path):
+        """An LRNN2 header's sizes are checked against the file's length first."""
+        f = tmp_path / "m.lrnn"
+        f.write_bytes(b"LRNN2\ndepth 1\ndims 1000000000 1\n" + bytes(16))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="need 16000000032 bytes, the file has 48"):
                 load_model(f)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -176,7 +271,8 @@ _SPACES = st.sampled_from([" ", "  ", "\t", " \t ", "\t\t"])
     data=st.data(),
 )
 def test_respaced_file_loads_bit_identical(tmp_path_factory, arch, seed, data):
-    """Tabs, runs of spaces and blank lines change no weight."""
+    """LRNN2 keeps every weight bit; in LRNN1, tabs, runs of spaces and blank
+    lines change no weight."""
     model = init_weights(arch, seed=seed)
     rng = np.random.default_rng(seed)
     model = LrnnModel(  # small exponents too, so the text has e-notation
@@ -185,6 +281,8 @@ def test_respaced_file_loads_bit_identical(tmp_path_factory, arch, seed, data):
     )
     path = tmp_path_factory.mktemp("respaced") / "m.lrnn"
     save_model(model, path)
+    assert_bits_equal(load_model(path), model)
+    write_lrnn1(model, path)
     respaced = []
     for line in path.read_text().splitlines():
         respaced += [""] * data.draw(st.integers(0, 2))
@@ -192,16 +290,13 @@ def test_respaced_file_loads_bit_identical(tmp_path_factory, arch, seed, data):
         text = values[0] + "".join(data.draw(_SPACES) + v for v in values[1:])
         respaced.append(data.draw(_SPACES) + text + data.draw(_SPACES))
     path.write_text("\n".join(respaced) + "\n")
-    loaded = load_model(path)
-    for a, b in zip(loaded.encode_weights + loaded.decode_weights,
-                    model.encode_weights + model.decode_weights):
-        np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+    assert_bits_equal(load_model(path), model)
 
 
 class TestLoadValidation:
     def test_version_tag_mismatch(self, tmp_path):
         f = tmp_path / "m.lrnn"
-        f.write_text("LRNN2\ndepth 1\ndims 1 1\n")
+        f.write_text("LRNN9\ndepth 1\ndims 1 1\n")
         with pytest.raises(ValueError, match="version tag"):
             load_model(f)
 

@@ -147,12 +147,12 @@ class TestPairStep:
         assert pair.live is None  # every unit live: the weights as given
         a = rng.random((5, 8))
         a[:, [1, 6]] = 0.0  # zero throughout the batch: both units die
-        pair.step(a)
+        pair.step(pair.gather(a))
         np.testing.assert_array_equal(pair.live, [0, 2, 3, 4, 5, 7])
         assert pair.w.shape == (6, 3) and pair.wb.shape == (3, 6)
         assert pair.w.all() and pair.wb.all()
         a[:, 1] = 1.0  # the dead unit's pixel lights up again
-        pair.step(a)
+        pair.step(pair.gather(a))
         np.testing.assert_array_equal(pair.live, [0, 2, 3, 4, 5, 7])
         w, wb = pair.weights()
         assert not w[[1, 6]].any() and not wb[:, [1, 6]].any()

@@ -203,6 +203,12 @@ class TestRun:
         assert est.observation_count == 1000
         assert abs(est.q[0] - 0.5) <= 0.02
 
+    def test_subnormal_total_arrival_rate_refused(self):
+        """A slab of arrivals at a total rate of 5e-309 would outlast the largest float."""
+        net = SimNetwork([], np.array([5e-309]), ["v"])
+        with pytest.raises(ValueError, match=re.escape("total arrival rate 5e-309 is too small")):
+            run(net, 10_000, observe_every=1000)
+
     def test_deterministic(self):
         net = compile_sim(scalar_model(), [0.7])
         e1 = run(net, 50_000, seed=3)

@@ -485,24 +485,48 @@ class TestLiveUnitsHeldAcrossBatches:
         assert_same_arrays(snapshot(model), snapshot(budget))
 
 
-class TestEveryVisibleUnitDies:
-    """Rows whose supports are disjoint across the two minibatches: each
-    pixel is 0 throughout one of them, so every visible unit dies."""
+class TestBatchOnDeadUnits:
+    """A minibatch whose input lies only on units an earlier batch killed
+    leaves the model alone, as an all-zero batch does."""
+
+    #: The first batch kills unit 0; the second lies only on unit 0.
+    ROWS = [[0, .6, .4], [0, .3, .7], [.9, 0, 0], [.8, 0, 0], [0, .5, .5], [0, .2, .9]]
+
+    def test_shallow_model_keeps_its_weights(self):
+        model, report = train(np.array(self.ROWS), [3, 2], TrainConfig(batch_size=2, max_iterations=3))
+        assert [np.count_nonzero(w) for w in model.encode_weights + model.decode_weights] == [4, 4]
+        assert report.dead_units == 1
+        skipped = np.array(self.ROWS[2:4])
+        assert report.error_curve[1] == (2, reconstruction_error(skipped, np.zeros_like(skipped)))
+
+    @pytest.mark.parametrize("algo", ["joint", "greedy"])
+    def test_deep_model_keeps_every_layer(self, algo):
+        cfg = TrainConfig(batch_size=2, max_iterations=3)
+        model, report = train(np.array(self.ROWS), [3, 2, 1], cfg, algo)
+        weights = model.encode_weights + model.decode_weights
+        assert [np.count_nonzero(w) for w in weights] == [4, 2, 2, 4]
+        assert report.dead_units == 1
 
     @pytest.mark.parametrize("dims", [[64, 6], [64, 6, 3]])
-    def test_training_finishes_with_every_unit_dead(self, dims):
+    def test_disjoint_halves_keep_the_first_batch_support(self, dims):
+        """The first batch blanks the left half and the second the right half:
+        the first kills every unit of the second's support, and from then on
+        the second batch changes no weight."""
         x = Dataset(disjoint_halves(seed=7, batch=5))
-        live_sets = []
+        live_sets, snapshots = [], []
 
         def observer(i, err, model):
-            live = model.encode_weights[0].any(axis=1) | model.decode_weights[-1].any(axis=0)
-            live_sets.append(live)
+            live_sets.append(model.encode_weights[0].any(axis=1) | model.decode_weights[-1].any(axis=0))
+            snapshots.append([w.copy() for w in model.encode_weights + model.decode_weights])
 
         model, report = train(x, dims, TrainConfig(batch_size=5, max_iterations=8), "joint", observer)
-        assert not model.encode_weights[0].any() and not model.decode_weights[-1].any()
-        assert report.dead_units == 64
+        left = (np.arange(64) % 8) < 4
+        assert not live_sets[0][left].any() and live_sets[0][~left].any()
+        for live in live_sets[1:]:
+            np.testing.assert_array_equal(live, live_sets[0])
+        assert report.dead_units == np.count_nonzero(~live_sets[0])
+        for before, after in zip(snapshots[0::2], snapshots[1::2]):  # second-batch updates
+            for a, b in zip(before, after):
+                np.testing.assert_array_equal(a, b)
         assert np.isfinite([err for _, err in report.error_curve]).all()
         assert np.isfinite(report.final_full_error)
-        assert live_sets[0].any() and not live_sets[1].any()
-        for before, after in zip(live_sets, live_sets[1:]):
-            assert not (after & ~before).any()  # a shrunk live set never grows again
