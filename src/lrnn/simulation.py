@@ -28,17 +28,17 @@ This is an exact sample path of the network: the same law as an
 event-by-event (Gillespie) simulation, with no appeal to Burke's theorem
 or to the product-form solution, so the simulator can still test both.
 
-An *event* is one external arrival or one firing.  Every
-``observe_every`` events past the burn-in an observation window closes
-and yields each neuron's *time-averaged* potential over it, computed
-exactly from the arrival and departure times.  Plain event-count
-snapshots would sample the embedded jump chain, which over-weights states
-with many active neurons; the windowed time average estimates the
-stationary mean potential k consistently, from which the excitation
-probability follows as q = k / (1 + k), the occupancy relation of the
-product-form network.  Times and the open window's potential integral are
-kept relative to the current slab's start, so no sum grows with the
-length of the run.
+An *event* is one external arrival or one firing.  An observation window
+closes every ``observe_every`` events past the burn-in.  ``run`` counts
+each neuron's firings from event ``burn_in`` to the close of the last
+whole window and divides them by the simulated time between the two.  A
+neuron fires at rate 1 whenever its potential is positive, so its firing
+rate is the share of time it is excited: its excitation probability q.
+That holds for any stationary queue, product form or not, and a
+saturated neuron fires at rate 1, which is the model's clamp.  The
+estimate thus assumes neither Burke's theorem nor the product form; the
+tests check the product form's occupancy relation k = q / (1 - q) on the
+event-by-event reference, whose paths follow the same law.
 
 Randomness comes from numpy's PCG64 generator.  Runs are deterministic
 given (network, event budget, seed).
@@ -129,20 +129,17 @@ def compile_sim(model: LrnnModel, instance) -> SimNetwork:
 
 @dataclass
 class QEstimate:
-    """Per-neuron excitation probabilities estimated from potential observations.
+    """Per-neuron excitation probabilities estimated by a simulation.
 
-    ``mean_potential[i]`` averages the observed potentials; the
-    probability follows as q = k / (1 + k).
+    ``q[i]`` is neuron i's firings over the simulated time they span.  It
+    is not clamped: a saturated neuron fires at rate 1, so its estimate
+    can exceed 1 by sampling noise.
     """
 
-    mean_potential: np.ndarray
+    q: np.ndarray
     observation_count: int
     layer_sizes: list[int]
     layer_names: list[str]
-
-    @property
-    def q(self) -> np.ndarray:
-        return self.mean_potential / (1.0 + self.mean_potential)
 
     def per_layer(self) -> list[np.ndarray]:
         return np.split(self.q, np.cumsum(self.layer_sizes)[:-1])
@@ -210,17 +207,16 @@ def _route_keys(w: np.ndarray) -> np.ndarray:
 def _sweep_slab(net: SimNetwork, end: float, keys, last_departure, held, rng):
     """Every event of the next slab, which lasts ``end``, swept layer by layer.
 
-    Returns each event's time (relative to the slab's start), the neuron
-    whose potential it raises and the neuron whose potential it lowers;
-    the dummy index ``net.n_neurons`` stands for none (an external arrival
-    lowers none, a leaked or final-layer spike raises none).
-    ``last_departure`` and ``held`` (per layer: the times and neurons of
-    firings past the slab's end) carry the queues into the next slab.
+    Returns each event's time (relative to the slab's start) and the
+    neuron that fires in it, with the dummy index ``net.n_neurons`` for an
+    external arrival.  ``last_departure`` and ``held`` (per layer: the
+    times and neurons of firings past the slab's end) carry the queues
+    into the next slab.
     """
     n, sizes, offsets = net.n_neurons, net.layer_sizes, net.layer_offsets
     v = np.repeat(np.arange(sizes[0]), rng.poisson(net.arrival_rates * end))
     t = rng.random(v.size) * end
-    times, raised, lowered = [t], [v], [np.full(v.size, n)]
+    times, fired = [t], [np.full(v.size, n)]
     for layer, size in enumerate(sizes):
         d, j = _serve(t, v, size, last_departure[layer], rng)
         d, j = np.concatenate((held[layer][0], d)), np.concatenate((held[layer][1], j))
@@ -228,27 +224,16 @@ def _sweep_slab(net: SimNetwork, end: float, keys, last_departure, held, rng):
         held[layer] = (d[~now] - end, j[~now])
         d, j = d[now], j[now]
         times.append(d)
-        lowered.append(j + offsets[layer])
-        target = np.full(d.size, n)
+        fired.append(j + offsets[layer])
         if layer < len(keys):
             width = sizes[layer + 1]
             k = np.searchsorted(keys[layer], 2.0 * j + rng.random(j.size), side="right")
             k -= j * width
             routed = k < width
             t, v = d[routed], k[routed]
-            target[routed] = v + offsets[layer + 1]
-        raised.append(target)
     for ld in last_departure:
         np.maximum(ld - end, 0.0, out=ld)
-    return np.concatenate(times), np.concatenate(raised), np.concatenate(lowered)
-
-
-def _net_change(raised, lowered, weights, n: int) -> np.ndarray:
-    """Per-neuron sum of ``weights`` over raised minus lowered potentials."""
-    return (
-        np.bincount(raised, weights, minlength=n + 1)[:n]
-        - np.bincount(lowered, weights, minlength=n + 1)[:n]
-    )
+    return np.concatenate(times), np.concatenate(fired)
 
 
 def run(
@@ -260,8 +245,10 @@ def run(
 ) -> QEstimate:
     """Simulate ``n_events`` events and estimate every neuron's excitation probability.
 
-    Observations are taken after every ``observe_every``-th event past
-    ``burn_in`` (default: no burn-in, transients included).
+    The estimate counts firings from event ``burn_in`` (default: no
+    burn-in, transients included) to the close of the last whole window
+    of ``observe_every`` events past it; later events are simulated but
+    not counted.  ``observation_count`` is the number of those windows.
     """
     _check_count("n_events", n_events)
     _check_count("observe_every", observe_every)
@@ -288,53 +275,25 @@ def run(
             f"{longest} arrivals take longer than the largest float"
         )
 
-    n = net.n_neurons
-    potential = np.zeros(n)  # at the slab's start
-    carried = np.zeros(n)  # open window's potential integral up to the slab's start
-    window_start = 0.0  # relative to the slab's start
-    sums = np.zeros(n)
-    observations = 0
+    observations = (n_events - burn_in) // observe_every
+    last_close = burn_in + observations * observe_every
+    firings = np.zeros(net.n_neurons + 1, dtype=np.int64)  # the last entry counts arrivals
+    span = 0.0  # simulated time from event burn_in to event last_close
     events = 0
-    close = burn_in or observe_every  # the event that closes the open window
-    counted = burn_in == 0  # the window ending at the burn-in is not observed
-    while True:
+    while events < n_events:
         end = min(slab_arrivals, n_events - events) / total_rate
-        t, raised, lowered = _sweep_slab(net, end, keys, last_departure, held, rng)
-        last = min(events + t.size, n_events)
-        closing = np.arange(close, last + 1, observe_every)
-        mark = 0.0  # start of the open window within the slab
-        if closing.size:
-            order = np.argsort(t)
-            b = t[order[closing - events - 1]]  # window ends
-            weight = np.ones(b.size)
-            weight[0] = float(counted)
-            scale = weight / np.diff(b, prepend=window_start)
-            after = weight.sum() - np.cumsum(weight)  # observed windows closing after each
-            # Event number e falls in window w = #{closing < e}.  Its change
-            # adds (b[w] - t) * scale[w] to that window's mean and 1 to every
-            # observed mean after it, as the starting potential does.
-            rank = np.empty(t.size, dtype=np.intp)
-            rank[order] = np.arange(t.size)
-            w = np.clip((rank + (events + observe_every - close)) // observe_every, 0, b.size)
-            inside = w < b.size
-            w = w[inside]
-            c = scale[w] * (b[w] - t[inside]) + after[w]
-            sums += scale[0] * (carried + potential * b[0]) + after[0] * potential
-            sums += _net_change(raised[inside], lowered[inside], c, n)
-            observations += int(weight.sum())
-            close = int(closing[-1]) + observe_every
-            counted = True
-            carried[:] = 0.0
-            mark = window_start = float(b[-1])
-        if last == n_events:
-            break
-        carried += potential * (end - mark)
-        carried += _net_change(raised, lowered, end - np.maximum(t, mark), n)
-        potential += _net_change(raised, lowered, None, n)
-        window_start -= end
+        t, fired = _sweep_slab(net, end, keys, last_departure, held, rng)
+        # The span's events are numbers burn_in + 1 through last_close.  The
+        # edges are the slab's start, its event times in order and its end,
+        # so edge e, for 1 <= e <= t.size, is the time of event events + e.
+        order = np.argsort(t)
+        edges = np.concatenate(([0.0], t[order], [end]))
+        lo, hi = np.clip((burn_in - events, last_close - events), 0, t.size + 1)
+        span += edges[hi] - edges[lo]
+        firings += np.bincount(fired[order[lo:hi]], minlength=net.n_neurons + 1)
         events += t.size
     sizes, names = list(net.layer_sizes), list(net.layer_names)
-    return QEstimate(sums / observations, observations, sizes, names)
+    return QEstimate(firings[:-1] / span, observations, sizes, names)
 
 
 @dataclass(frozen=True)

@@ -87,8 +87,9 @@ def scalar_update_decode(a, w, wb, eps) -> np.ndarray:
 # sum of arrival rates plus the number of currently active neurons; one
 # exponential dwell is sampled per event, and one uniform picks both the
 # event category and the neuron involved.  Every ``observe_every`` events
-# past the burn-in, each neuron's potential is time-averaged over the
-# window ending at that event, exactly as the library's estimator does.
+# past the burn-in an observation window closes.  Over each window the
+# reference counts each neuron's firings, as the library's estimator does,
+# and time-averages its potential, which the product form relates to q.
 
 
 def routing_lists(net: SimNetwork) -> tuple[list[list[int]], list[list[float]]]:
@@ -110,12 +111,16 @@ def routing_lists(net: SimNetwork) -> tuple[list[list[int]], list[list[float]]]:
 @dataclass
 class SimState:
     """Mutable Gillespie state: integer potentials, the active-neuron set,
-    the routing lists, and the bookkeeping of the windowed time averages."""
+    the routing lists, per-neuron firing counts, and the bookkeeping of the
+    windowed firing counts and time averages."""
 
     potentials: list[int]
     active: list[int]
     active_pos: list[int]
     observation_sums: np.ndarray
+    fired: list[int]
+    firing_sums: np.ndarray
+    window_start_fired: np.ndarray
     rng: np.random.Generator
     route_targets: list[list[int]]
     route_cum: list[list[float]]
@@ -125,6 +130,7 @@ class SimState:
     integral_times: list[float] = field(default_factory=list)
     window_start_time: float = 0.0
     window_start_integrals: list[float] = field(default_factory=list)
+    observed_time: float = 0.0
     event_count: int = 0
     arrival_count: int = 0
     firing_count: int = 0
@@ -139,6 +145,9 @@ def new_state(net: SimNetwork, seed=0) -> SimState:
         active=[],
         active_pos=[-1] * n,
         observation_sums=np.zeros(n),
+        fired=[0] * n,
+        firing_sums=np.zeros(n),
+        window_start_fired=np.zeros(n),
         rng=np.random.default_rng(seed),
         route_targets=targets,
         route_cum=cums,
@@ -162,10 +171,11 @@ def _advance(
     """Apply ``n_events`` events to ``state`` in place.
 
     When ``observe_every`` is set, every ``observe_every``-th event past
-    the burn-in closes an observation window and accumulates each
-    neuron's time-averaged potential over that window into the
-    observation sums.  Uniform draws are prefetched in blocks; the
-    consumed stream values equal drawing them one at a time.
+    the burn-in closes an observation window.  It adds each neuron's
+    firings in the window to the firing sums, the window's length to the
+    observed time, and each neuron's time-averaged potential over the
+    window to the observation sums.  Uniform draws are prefetched in
+    blocks; the consumed stream values equal drawing them one at a time.
     """
     pot = state.potentials
     active = state.active
@@ -179,6 +189,7 @@ def _advance(
     total_x = acum[-1] if acum else 0.0
     rng = state.rng
     obs_sums = state.observation_sums
+    fired = state.fired
     n = net.n_neurons
 
     t = state.sim_time
@@ -253,6 +264,7 @@ def _advance(
                             pos[target] = len(active)
                             active.append(target)
                         pot[target] = q + 1
+                fired[i] += 1
                 firings += 1
             events += 1
             if observe_every is not None:
@@ -263,6 +275,7 @@ def _advance(
                         mark[i2] = t
                         win_integ[i2] = s
                     win_t = t
+                    state.window_start_fired = np.array(fired, dtype=np.float64)
                 elif events > burn_in and (events - burn_in) % observe_every == 0:
                     dt = t - win_t
                     if dt > 0.0:
@@ -276,6 +289,10 @@ def _advance(
                         obs_sums += means
                     else:  # zero-length window cannot happen in practice; snapshot
                         obs_sums += pot
+                    counts = np.array(fired, dtype=np.float64)
+                    state.firing_sums += counts - state.window_start_fired
+                    state.window_start_fired = counts
+                    state.observed_time += dt
                     win_t = t
                     observations += 1
     finally:
@@ -298,12 +315,17 @@ def step_event(net: SimNetwork, state: SimState) -> SimState:
 
 def gillespie_run(
     net: SimNetwork, n_events: int, observe_every: int = 1000, seed=0, burn_in: int = 0
-) -> QEstimate:
-    """The reference counterpart of :func:`lrnn.simulation.run`."""
+) -> tuple[QEstimate, np.ndarray]:
+    """The reference counterpart of :func:`lrnn.simulation.run`.
+
+    Returns the estimate, whose q is each neuron's firings over the
+    observed time, and each neuron's mean potential k over the windows.
+    """
     state = new_state(net, seed)
     _advance(net, state, n_events, observe_every, burn_in)
-    k_bar = state.observation_sums / state.observation_count
-    return QEstimate(k_bar, state.observation_count, list(net.layer_sizes), list(net.layer_names))
+    q = state.firing_sums / state.observed_time
+    est = QEstimate(q, state.observation_count, list(net.layer_sizes), list(net.layer_names))
+    return est, state.observation_sums / state.observation_count
 
 
 def run_ensemble(
@@ -316,8 +338,8 @@ def run_ensemble(
     """Pool several independent library runs into one estimate.
 
     Seeds are split with ``SeedSequence.spawn`` so streams never overlap.
-    Observations are pooled, i.e. the combined mean potential weighs each
-    run by its observation count.
+    Observations are pooled, i.e. the combined q weighs each run by its
+    observation count.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
@@ -326,6 +348,6 @@ def run_ensemble(
     total_obs = 0
     for child in children:
         est = run(net, n_events, observe_every, seed=child)
-        total_sums += est.mean_potential * est.observation_count
+        total_sums += est.q * est.observation_count
         total_obs += est.observation_count
     return QEstimate(total_sums / total_obs, total_obs, list(net.layer_sizes), list(net.layer_names))
