@@ -29,7 +29,6 @@ _HOMES = {
     ),
     "model_io": ("load_model", "save_model"),
     "simulation": (
-        "DeadNetworkError",
         "LayerComparison",
         "QEstimate",
         "SimNetwork",

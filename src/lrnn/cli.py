@@ -185,7 +185,7 @@ def cmd_eval(args) -> None:
 
 
 def cmd_simulate(args) -> None:
-    from .simulation import DeadNetworkError, QEstimate, compare, compile_sim, run
+    from .simulation import compare, compile_sim, run
 
     if args.events < args.burn_in + args.observe_every:
         raise UsageError(
@@ -201,11 +201,10 @@ def cmd_simulate(args) -> None:
     instance = dataset.rows(args.index)
     numeric = forward(model, instance.reshape(1, -1))
     net = compile_sim(model, instance)
-    try:
-        est = run(net, args.events, args.observe_every, seed=args.seed, burn_in=args.burn_in)
-    except DeadNetworkError as e:
-        print(f"dead network: {e}; all estimates are 0", file=sys.stderr)
-        est = QEstimate.zeros(net)
+    est = run(net, args.events, args.observe_every, seed=args.seed, burn_in=args.burn_in)
+    if est.observation_count == 0:
+        print("dead network: no possible event: all arrival rates are zero and no neuron "
+              "is active; all estimates are 0", file=sys.stderr)
     diffs = compare(est, numeric)
     numeric_layers = [a.ravel() for a in [numeric.q_hat, *numeric.q_enc, *numeric.q_dec]]
     if args.out:

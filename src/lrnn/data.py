@@ -58,13 +58,12 @@ def _check_count(name: str, value, least: int = 1) -> None:
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce ``a`` to a C-contiguous 2-D float64 array of finite nonnegative entries."""
     m = _as_2d(a, name)
-    if m.size:
-        # min and max propagate NaN and allocate nothing the size of the data
-        lo, hi = float(m.min()), float(m.max())
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise ValueError(f"{name} has NaN or infinite entries")
-        if lo < 0.0:
-            raise ValueError(f"{name} must be nonnegative")
+    # min and max propagate NaN and allocate nothing the size of the data
+    lo, hi = float(m.min(initial=0.0)), float(m.max(initial=0.0))
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError(f"{name} has NaN or infinite entries")
+    if lo < 0.0:
+        raise ValueError(f"{name} must be nonnegative")
     return m
 
 

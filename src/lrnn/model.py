@@ -59,10 +59,10 @@ class LrnnModel:
     the encoder: the decode dimension chain is the encode chain reversed,
     so the final decode layer has width V again.
 
-    Construction checks the dimension chain only.  The RNN constraints
-    (nonnegativity, row sums <= 1) are checked separately by
-    :func:`validate_constraints` because training routines need to hold,
-    inspect and repair models that temporarily violate them.
+    Construction checks the dimension chain, every size at least 1.  The
+    RNN constraints are checked where a model enters: by ``load_model``, and
+    by :class:`~lrnn.simulation.SimNetwork` for ``compile_sim`` and
+    ``feed_forward_spec``.  :func:`validate_constraints` reports on any model.
     """
 
     encode_weights: list[np.ndarray]
@@ -85,6 +85,7 @@ class LrnnModel:
         mirror = [w.shape[::-1] for w in reversed(self.encode_weights)]
         if shapes != mirror:  # so the decode chain is unbroken too
             raise ValueError(f"decode shapes {shapes} must mirror the encode shapes: {mirror}")
+        _encode_dims(self.encode_dims)
 
     @property
     def depth(self) -> int:
@@ -228,13 +229,3 @@ def validate_constraints(model: LrnnModel) -> list[ConstraintViolation]:
         for row in np.flatnonzero(row_sum > 1.0 + ROW_SUM_SLACK):
             violations.append(ConstraintViolation(name, int(row), "row_sum", float(row_sum[row])))
     return violations
-
-
-def reject_violations(violations: list[ConstraintViolation], what: str = "model") -> None:
-    """Raise ``ValueError`` naming the first of ``validate_constraints``' findings, if any."""
-    if violations:
-        v = violations[0]
-        raise ValueError(
-            f"{what} violates RNN constraints ({len(violations)} row(s); first: "
-            f"{v.layer} row {v.row} {v.kind} {v.value:.6g})"
-        )

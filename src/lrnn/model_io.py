@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import LrnnModel, reject_violations, validate_constraints
+from .model import LrnnModel, validate_constraints
 
 FORMAT_TAG = "LRNN2"  # the layout save_model writes
 TEXT_TAG = "LRNN1"
@@ -158,5 +158,8 @@ def load_model(path) -> LrnnModel:
         else:
             encode, decode = _read_text(path)
     model = LrnnModel(encode, decode)
-    reject_violations(validate_constraints(model), f"{path}: stored model")
+    if violations := validate_constraints(model):
+        v = violations[0]
+        raise ValueError(f"{path}: stored model violates RNN constraints ({len(violations)} "
+                         f"row(s); first: {v.layer} row {v.row} {v.kind} {v.value:.6g})")
     return model

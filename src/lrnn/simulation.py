@@ -54,24 +54,13 @@ from typing import Sequence
 import numpy as np
 
 from .data import _check_count, as_matrix
-from .model import (
-    ROW_SUM_SLACK,
-    ActivationState,
-    LrnnModel,
-    _check_attributes,
-    reject_violations,
-    validate_constraints,
-)
+from .model import ROW_SUM_SLACK, ActivationState, LrnnModel, _check_attributes
 
 #: Events per slab.  A slab lasts as long as ``_SLAB_EVENTS // (layers + 1)``
 #: external arrivals take on average, and each arrival causes at most one
 #: firing per layer, so the slab's arrays stay near this size whatever the
 #: event budget.
 _SLAB_EVENTS = 1 << 15
-
-
-class DeadNetworkError(RuntimeError):
-    """No event can occur: no external arrivals and no active neuron."""
 
 
 class SimNetwork:
@@ -117,7 +106,6 @@ class SimNetwork:
 
 def compile_sim(model: LrnnModel, instance) -> SimNetwork:
     """Build the spiking network for ``model`` driven by one instance's attributes."""
-    reject_violations(validate_constraints(model))
     _check_attributes("instance", np.size(instance), model.visible_dim)
     names = (
         ["visual"]
@@ -131,9 +119,10 @@ def compile_sim(model: LrnnModel, instance) -> SimNetwork:
 class QEstimate:
     """Per-neuron excitation probabilities estimated by a simulation.
 
-    ``q[i]`` is neuron i's firings over the simulated time they span.  It
-    is not clamped: a saturated neuron fires at rate 1, so its estimate
-    can exceed 1 by sampling noise.
+    ``q[i]`` is neuron i's firings over the simulated time they span, and
+    exactly 0 in a network with no arrivals, which has no event to observe
+    (``observation_count`` 0).  It is not clamped: a saturated neuron fires
+    at rate 1, so its estimate can exceed 1 by sampling noise.
     """
 
     q: np.ndarray
@@ -143,11 +132,6 @@ class QEstimate:
 
     def per_layer(self) -> list[np.ndarray]:
         return np.split(self.q, np.cumsum(self.layer_sizes)[:-1])
-
-    @classmethod
-    def zeros(cls, net: SimNetwork) -> "QEstimate":
-        """Estimate for a network in which nothing ever happened."""
-        return cls(np.zeros(net.n_neurons), 0, list(net.layer_sizes), list(net.layer_names))
 
 
 def _departures(a: np.ndarray, starts: np.ndarray, d0: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -249,6 +233,7 @@ def run(
     burn-in, transients included) to the close of the last whole window
     of ``observe_every`` events past it; later events are simulated but
     not counted.  ``observation_count`` is the number of those windows.
+    A network with no arrivals has no event: its exact estimate is q = 0.
     """
     _check_count("n_events", n_events)
     _check_count("observe_every", observe_every)
@@ -258,11 +243,10 @@ def run(
             f"n_events={n_events} yields no observation "
             f"(burn_in={burn_in}, observe_every={observe_every})"
         )
+    sizes, names = list(net.layer_sizes), list(net.layer_names)
     total_rate = float(net.arrival_rates.sum())
-    if total_rate == 0.0:
-        raise DeadNetworkError(
-            "no possible event: all arrival rates are zero and no neuron is active"
-        )
+    if total_rate == 0.0:  # no event can occur, so no neuron is ever excited
+        return QEstimate(np.zeros(net.n_neurons), 0, sizes, names)
     rng = np.random.default_rng(seed)
     keys = [_route_keys(w) for w in net.weight_chain]
     last_departure = [np.zeros(size) for size in net.layer_sizes]
@@ -292,7 +276,6 @@ def run(
         span += edges[hi] - edges[lo]
         firings += np.bincount(fired[order[lo:hi]], minlength=net.n_neurons + 1)
         events += t.size
-    sizes, names = list(net.layer_sizes), list(net.layer_names)
     return QEstimate(firings[:-1] / span, observations, sizes, names)
 
 

@@ -14,7 +14,11 @@ from math import fsum, log
 import numpy as np
 
 from lrnn.model import forward
-from lrnn.simulation import DeadNetworkError, QEstimate, SimNetwork, run
+from lrnn.simulation import QEstimate, SimNetwork, run
+
+
+class DeadNetworkError(RuntimeError):
+    """No event can occur: no external arrivals and no active neuron."""
 
 
 def dataset_error_reference(model, x, chunk_rows: int = 4096) -> float:

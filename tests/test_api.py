@@ -33,7 +33,7 @@ BENCH_CALLS = (
 #: Every public name; an export is added or removed by editing this set.
 PUBLIC_API = {
     "ActivationState", "ConstraintViolation", "ConvergenceError", "Dataset",
-    "DeadNetworkError", "LayerComparison", "LrnnModel", "QEstimate", "RnnNetworkSpec",
+    "LayerComparison", "LrnnModel", "QEstimate", "RnnNetworkSpec",
     "SimNetwork", "TrainConfig", "TrainReport", "clamp_unit", "compare", "compile_sim",
     "dataset_error", "feed_forward_spec", "forward", "init_weights", "iter_minibatches",
     "load_dataset", "load_model", "project_rows", "reconstruction_error",

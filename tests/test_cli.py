@@ -301,7 +301,10 @@ class TestSimulate:
         code = main(self.sim_args(model_path, data, sim_csv, index=0))
         assert code == EXIT_OK
         err = capsys.readouterr().err
-        assert "dead network" in err
+        assert err == (
+            "dead network: no possible event: all arrival rates are zero and no neuron "
+            "is active; all estimates are 0\n"
+        )
         for line in sim_csv.read_text().splitlines()[1:]:
             _, _, q_sim, q_num, diff = line.split(",")
             assert float(q_sim) == 0.0 and float(q_num) == 0.0 and float(diff) == 0.0

@@ -627,6 +627,8 @@ class TestLoadDatasetGuess:
         manifest = self.write_manifest(tmp_path, {"a": entry, "b": entry})
         with pytest.raises(ValueError, match="2 datasets"):
             load_dataset(manifest)
+        with pytest.raises(ValueError, match=re.escape("dataset 'c' not in manifest (has: a, b)")):
+            load_dataset(manifest, name="c")
         assert load_dataset(manifest, name="b").x.shape == (2, 2)
 
     def test_manifest_entry_cannot_be_a_manifest(self, tmp_path):

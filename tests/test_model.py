@@ -83,6 +83,11 @@ class TestModelStructure:
         with pytest.raises(ValueError, match="depth"):
             LrnnModel([np.zeros((2, 2))], [np.zeros((2, 2)), np.zeros((2, 2))])
 
+    def test_layer_without_units_rejected(self):
+        for w in (np.zeros((2, 0)), np.zeros((0, 2))):
+            with pytest.raises(ValueError, match=re.escape(f"got {list(w.shape)}")):
+                LrnnModel([w], [w.T])
+
 
 class TestForward:
     def test_scalar_network_by_hand(self):

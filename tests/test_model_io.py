@@ -2,13 +2,14 @@
 
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrnn import LrnnModel, forward, init_weights, load_model, save_model
+from lrnn import LrnnModel, forward, init_weights, load_model, model_io, save_model
 
 
 def write_lrnn1(model: LrnnModel, path) -> None:
@@ -231,6 +232,16 @@ def test_binary_load_error_message(tmp_path, change, message):
     with pytest.raises(ValueError, match=re.escape(message)) as excinfo:
         load_model(f)
     assert str(excinfo.value).startswith(f"{f}: ")
+
+
+def test_file_that_shrinks_while_read_refused(tmp_path, monkeypatch):
+    """The length checked before the read is not trusted to hold during it."""
+    f = tmp_path / "m.lrnn"
+    f.write_bytes(GOLDEN_BYTES[:-8])  # the last weight dropped
+    stat = SimpleNamespace(st_size=len(GOLDEN_BYTES))
+    monkeypatch.setattr(model_io, "os", SimpleNamespace(fstat=lambda fd: stat))
+    with pytest.raises(ValueError, match=re.escape(f"{f}: file shrank while it was read")):
+        load_model(f)
 
 
 class TestDeclaredSizes:

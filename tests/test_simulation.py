@@ -7,17 +7,25 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import gillespie_run, new_state, routing_lists, run_ensemble, step_event
-from lrnn import (
+from oracles import (
     DeadNetworkError,
+    gillespie_run,
+    new_state,
+    routing_lists,
+    run_ensemble,
+    step_event,
+)
+from lrnn import (
     LrnnModel,
     QEstimate,
     SimNetwork,
     compare,
     compile_sim,
+    feed_forward_spec,
     forward,
     init_weights,
     run,
+    solve_steady_state,
     train,
     TrainConfig,
 )
@@ -44,9 +52,10 @@ class TestCompileSim:
         assert net.layer_sizes == [784, 100, 784]
 
     def test_constraint_violation_rejected(self):
-        for w in ([0.7, 0.7], [np.nan, 0.1]):
+        for w, fault in (([0.7, 0.7], "a row sum above 1"), ([np.nan, 0.1], "NaN or infinite")):
             bad = LrnnModel([np.array([w])], [np.array([[0.5], [0.5]])])
-            with pytest.raises(ValueError, match="constraints"):
+            message = f"routing matrix 0 (visual -> enc1) has {fault}"
+            with pytest.raises(ValueError, match=re.escape(message)):
                 compile_sim(bad, [0.5])
 
     def test_negative_attributes_rejected(self):
@@ -255,10 +264,20 @@ class TestRun:
         with pytest.raises(ValueError, match=re.escape(message)):
             run(net, **{"n_events": 5000, name: value})
 
-    def test_dead_network_raises(self):
-        net = compile_sim(scalar_model(), [0.0])
-        with pytest.raises(DeadNetworkError):
-            run(net, 10_000)
+    def test_network_with_no_arrivals_is_never_excited(self):
+        # q = lambda+ / (r + lambda-) is exactly 0 without excitatory input
+        model = init_weights([6, 4, 3], seed=0)
+        row = np.zeros(6)
+        est = run(compile_sim(model, row), 10_000, seed=3)
+        assert est.observation_count == 0
+        assert est.layer_sizes == [6, 4, 3, 4, 6]
+        np.testing.assert_array_equal(est.q, np.zeros(23))
+        numeric = forward(model, row.reshape(1, -1))
+        for layer in [numeric.q_hat, *numeric.q_enc, *numeric.q_dec]:
+            np.testing.assert_array_equal(layer, 0.0)
+        np.testing.assert_array_equal(solve_steady_state(feed_forward_spec(model, row)), 0.0)
+        with pytest.raises(ValueError, match="no observation"):  # the count checks come first
+            run(compile_sim(model, row), 500, observe_every=1000)
 
     def test_matches_forward_on_chain(self):
         model = scalar_model(0.8, 0.9)

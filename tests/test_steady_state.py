@@ -150,9 +150,11 @@ class TestFeedForwardEquivalence:
             np.testing.assert_allclose(q, numeric, atol=1e-10)
 
     def test_constraint_violation_rejected(self):
-        bad = LrnnModel([np.array([[0.7, 0.7]])], [np.array([[0.5], [0.5]])])
-        with pytest.raises(ValueError, match="constraints"):
-            feed_forward_spec(bad, [0.5])
+        for w, fault in (([0.7, 0.7], "a row sum above 1"), ([np.nan, 0.1], "NaN or infinite")):
+            bad = LrnnModel([np.array([w])], [np.array([[0.5], [0.5]])])
+            message = f"routing matrix 0 (visual -> enc1) has {fault}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                feed_forward_spec(bad, [0.5])
 
     def test_input_validation(self):
         model = init_weights([4, 2], seed=0)
