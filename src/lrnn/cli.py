@@ -9,6 +9,13 @@
 Model files are binary (LRNN2, see :mod:`lrnn.model_io`); ``--curve``,
 ``--dump`` and the simulate ``--out`` stay CSV text.
 
+A CSV ``--data`` table is parsed once per content and settings: every
+command keeps the normalized table as a ``.npy`` file under
+``$XDG_CACHE_HOME/lrnn/`` (``~/.cache/lrnn/`` by default), named by a
+SHA-256 over the file's bytes, the CSV settings, the text encoding, numpy's
+version and the parser's source (see :mod:`lrnn.data`), and later commands
+read it back.  Deleting that directory is always safe.
+
 Exit codes are decided in one place, :func:`main`, which prints one line
 for a failure:
 

@@ -17,11 +17,21 @@ value.  Its formats:
   treated as missing and imputed with the column mean; ``nan`` and
   ``inf`` cells are refused.  Each column is then mapped onto [0, 1].
 - ``manifest``: a JSON manifest mapping dataset names to loader settings.
+
+A CSV table is parsed once per content and settings: the normalized
+float64 matrix is kept as a ``.npy`` file under ``$XDG_CACHE_HOME/lrnn/``
+(``~/.cache/lrnn/`` by default) and read back by later loads.  An entry is
+named by a SHA-256 over the file's bytes, the three CSV settings, the text
+encoding the parser reads with, numpy's version and this module's source,
+so edited data, other settings, a changed parser or another numpy never
+meet an old parse.  An entry that cannot be read or written is passed
+over, and deleting the directory is always safe.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 from array import array
 from dataclasses import dataclass
@@ -312,6 +322,66 @@ def _normalize_unit_interval(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _load_table(path, delimiter: str, has_header: bool, label_column: int | None) -> np.ndarray:
+    """The CSV table at ``path`` as :func:`_load_csv` parses it, normalized, parsed once.
+
+    The entry the key (see the module docstring) names is returned as it
+    is.  Without one the table is parsed, and the result is written through
+    a temporary file and ``os.replace``, unless the file's size or
+    modification time moved between the hash and the end of the parse.  An
+    entry that cannot be read, is not a 2-D float64 array or cannot be
+    written counts as no entry; a table that fails to parse raises the
+    parser's error and writes nothing.
+    """
+    import hashlib  # here, so that only CSV tables pay for the import
+
+    with open(path, newline="") as f:  # opened as the parser opens it, to learn its encoding
+        seen = os.fstat(f.fileno())
+        source = Path(__file__).read_bytes()
+        # The repr ends where its parenthesis closes and holds the source's
+        # length, so the inputs of two different keys never run into each other.
+        settings = (delimiter, has_header, label_column, f.encoding, np.__version__, len(source))
+        key = hashlib.sha256(repr(settings).encode() + source)
+        while chunk := f.buffer.read(1 << 20):
+            key.update(chunk)
+    root = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(root):
+        root = os.path.expanduser(os.path.join("~", ".cache"))
+    entry = Path(root, "lrnn", f"{key.hexdigest()}.npy")
+    if not entry.is_absolute():  # no home directory to cache in
+        return _normalize_unit_interval(_load_csv(path, delimiter, has_header, label_column))
+    try:
+        with open(entry, "rb") as f:
+            x = np.load(f, allow_pickle=False)
+        if isinstance(x, np.ndarray) and x.dtype == np.float64 and x.ndim == 2:
+            return x
+    except (OSError, ValueError, EOFError):  # no entry, or a truncated or foreign one
+        pass
+    x = _normalize_unit_interval(_load_csv(path, delimiter, has_header, label_column))
+    try:
+        now = os.stat(path)
+        if (now.st_size, now.st_mtime_ns) == (seen.st_size, seen.st_mtime_ns):
+            _save_entry(entry, x)
+    except OSError:  # the file is gone, or the cache cannot be written: parse again next time
+        pass
+    return x
+
+
+def _save_entry(entry: Path, x: np.ndarray) -> None:
+    """Write ``x`` as the ``.npy`` file ``entry`` through a temporary file and one rename."""
+    import tempfile
+
+    entry.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=entry.parent)
+    try:
+        with os.fdopen(fd, "wb") as f:
+            np.save(f, x, allow_pickle=False)
+        os.replace(tmp, entry)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
 def iter_minibatches(
     d,
     batch_size: int,
@@ -357,7 +427,13 @@ def load_dataset(
     (comma-separated ``*.bin`` files included), and ``idx`` for anything else.
 
     IDX and CIFAR pixels are held as uint8 and scaled by 1/255 as rows are
-    read; CSV tables are column-normalized.  ``fmt="cifar"`` accepts a
+    read; CSV tables are column-normalized.  A CSV table is parsed once:
+    the normalized matrix is cached as a float64 ``.npy`` file under
+    ``$XDG_CACHE_HOME/lrnn/`` (``~/.cache/lrnn/`` by default), keyed by a
+    SHA-256 over the file's bytes, the three CSV settings, the text
+    encoding, numpy's version and this module's source, and later loads of
+    the same bytes under the same settings read that file back.  Deleting
+    the directory is always safe.  ``fmt="cifar"`` accepts a
     single file, a directory (all ``*.bin`` files, sorted), a list of files
     or a string of comma-separated files.  ``fmt="manifest"`` loads entry ``name`` of the
     manifest at ``path``, or its only entry when ``name`` is None; the
@@ -396,7 +472,7 @@ def load_dataset(
             batches = [path] if isinstance(path, Path) else list(path)
         x = _load_cifar10(batches)
     elif fmt == "csv":
-        x = _normalize_unit_interval(_load_csv(path, delimiter, has_header, label_column))
+        x = _load_table(path, delimiter, has_header, label_column)
     else:
         raise ValueError(f"unknown dataset format {fmt!r}")
     return Dataset(x)

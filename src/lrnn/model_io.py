@@ -24,6 +24,8 @@ checked against the lines present before any block is parsed, so no array
 outgrows the file; a row-by-row read only words why a block was refused.
 
 Either way the RNN constraints are checked again on the loaded weights.
+An LRNN2 depth or dims line is read no further than 4096 bytes, and an
+error message quotes at most the first 40 characters of a file line.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ from .model import LrnnModel, validate_constraints
 
 FORMAT_TAG = "LRNN2"  # the layout save_model writes
 TEXT_TAG = "LRNN1"
+_HEADER_LINE_BYTES = 4096  # the most an LRNN2 depth or dims line may take, newline included
+_QUOTED_CHARS = 40  # the longest part of a file line that an error message quotes
 
 
 def save_model(model: LrnnModel, path) -> None:
@@ -46,6 +50,13 @@ def save_model(model: LrnnModel, path) -> None:
         f.write(f"{FORMAT_TAG}\ndepth {model.depth}\ndims {dims}\n".encode())
         for w in model.encode_weights + model.decode_weights:
             f.write(np.ascontiguousarray(w, dtype="<f8"))
+
+
+def _quote(text: str) -> str:
+    """``text`` quoted, or its first :data:`_QUOTED_CHARS` characters if it is longer."""
+    if len(text) <= _QUOTED_CHARS:
+        return repr(text)
+    return f"{text[:_QUOTED_CHARS]!r}... ({len(text)} characters)"
 
 
 def _line(path: Path, lines: list[str], pos: int, what: str) -> str:
@@ -60,7 +71,7 @@ def _read_block(path: Path, lines: list[str], pos: int, marker: str, m: int,
     head = _line(path, lines, pos, f"'{marker} {m}' block header")
     parts = head.split()
     if len(parts) != 4 or parts[0] != marker or parts[1] != str(m):
-        raise ValueError(f"{path}: expected block '{marker} {m} {rows} {cols}', got {head!r}")
+        raise ValueError(f"{path}: expected block '{marker} {m} {rows} {cols}', got {_quote(head)}")
     size = f"block {marker} {m} size"
     if (_header_size(path, size, parts[2]), _header_size(path, size, parts[3])) != (rows, cols):
         raise ValueError(f"{path}: block {marker} {m} declares {parts[2]}x{parts[3]}, "
@@ -82,11 +93,12 @@ def _read_block(path: Path, lines: list[str], pos: int, marker: str, m: int,
             raise ValueError(
                 f"{path}: block {marker} {m} row {i} has {len(values)} values, expected {cols}"
             )
-        try:
-            for v in values:
+        for v in values:
+            try:
                 float(v)
-        except ValueError as e:
-            raise ValueError(f"{path}: block {marker} {m} row {i}: {e}") from None
+            except ValueError:
+                raise ValueError(f"{path}: block {marker} {m} row {i}: "
+                                 f"could not convert string to float: {_quote(v)}") from None
     raise ValueError(f"{path}: block {marker} {m}: {refusal}")
 
 
@@ -95,7 +107,7 @@ def _header_size(path: Path, what: str, text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise ValueError(f"{path}: {what} must be an integer, got {text!r}") from None
+        raise ValueError(f"{path}: {what} must be an integer, got {_quote(text)}") from None
     if value < 1:
         raise ValueError(f"{path}: {what} must be >= 1, got {value}")
     return value
@@ -105,7 +117,7 @@ def _read_dims(path: Path, lines: list[str]) -> list[int]:
     """The sizes V, H_1 .. H_M that the depth and dims lines, ``lines[1:3]``, declare."""
     depth_line = _line(path, lines, 1, "depth").split()
     if len(depth_line) != 2 or depth_line[0] != "depth":
-        raise ValueError(f"{path}: malformed depth line {' '.join(depth_line)!r}")
+        raise ValueError(f"{path}: malformed depth line {_quote(' '.join(depth_line))}")
     depth = _header_size(path, "depth", depth_line[1])
     dims_line = _line(path, lines, 2, "dims").split()
     if dims_line[:1] != ["dims"] or len(dims_line) != depth + 2:
@@ -130,12 +142,20 @@ def _read_payload(path: Path, f, dims: list[int]) -> tuple[list, list]:
     return encode, decode
 
 
+def _header_line(path: Path, f) -> str:
+    """The next line of the binary file ``f``, read no further than :data:`_HEADER_LINE_BYTES`."""
+    line = f.readline(_HEADER_LINE_BYTES)
+    if len(line) == _HEADER_LINE_BYTES and not line.endswith(b"\n"):
+        raise ValueError(f"{path}: header line longer than {_HEADER_LINE_BYTES} bytes")
+    return line.decode("ascii", "replace")
+
+
 def _read_text(path: Path) -> tuple[list, list]:
     """The encode and decode chains of an LRNN1 file."""
     lines = [line for line in map(str.strip, path.read_text(errors="replace").splitlines()) if line]
     tag = _line(path, lines, 0, "format tag")
     if tag != TEXT_TAG:
-        raise ValueError(f"{path}: version tag mismatch, got {tag!r}, "
+        raise ValueError(f"{path}: version tag mismatch, got {_quote(tag)}, "
                          f"expected {FORMAT_TAG!r} or {TEXT_TAG!r}")
     dims = _read_dims(path, lines)
     encode, decode, pos = [], [], 3
@@ -153,7 +173,7 @@ def load_model(path) -> LrnnModel:
     path = Path(path)
     with open(path, "rb") as f:
         if f.readline(64).strip() == FORMAT_TAG.encode():
-            header = [FORMAT_TAG] + [f.readline().decode("ascii", "replace") for _ in range(2)]
+            header = [FORMAT_TAG] + [_header_line(path, f) for _ in range(2)]
             encode, decode = _read_payload(path, f, _read_dims(path, header))
         else:
             encode, decode = _read_text(path)

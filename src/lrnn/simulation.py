@@ -191,16 +191,16 @@ def _route_keys(w: np.ndarray) -> np.ndarray:
 def _sweep_slab(net: SimNetwork, end: float, keys, last_departure, held, rng):
     """Every event of the next slab, which lasts ``end``, swept layer by layer.
 
-    Returns each event's time (relative to the slab's start) and the
-    neuron that fires in it, with the dummy index ``net.n_neurons`` for an
-    external arrival.  ``last_departure`` and ``held`` (per layer: the
-    times and neurons of firings past the slab's end) carry the queues
-    into the next slab.
+    Returns two lists: the event times (relative to the slab's start) of
+    the external arrivals and then of each layer's firings, and the neuron
+    (numbered within its layer) that fires in each of those firings.
+    ``last_departure`` and ``held`` (per layer: the times and neurons of
+    firings past the slab's end) carry the queues into the next slab.
     """
-    n, sizes, offsets = net.n_neurons, net.layer_sizes, net.layer_offsets
+    sizes = net.layer_sizes
     v = np.repeat(np.arange(sizes[0]), rng.poisson(net.arrival_rates * end))
     t = rng.random(v.size) * end
-    times, fired = [t], [np.full(v.size, n)]
+    times, fired = [t], []
     for layer, size in enumerate(sizes):
         d, j = _serve(t, v, size, last_departure[layer], rng)
         d, j = np.concatenate((held[layer][0], d)), np.concatenate((held[layer][1], j))
@@ -208,7 +208,7 @@ def _sweep_slab(net: SimNetwork, end: float, keys, last_departure, held, rng):
         held[layer] = (d[~now] - end, j[~now])
         d, j = d[now], j[now]
         times.append(d)
-        fired.append(j + offsets[layer])
+        fired.append(j)
         if layer < len(keys):
             width = sizes[layer + 1]
             k = np.searchsorted(keys[layer], 2.0 * j + rng.random(j.size), side="right")
@@ -217,7 +217,7 @@ def _sweep_slab(net: SimNetwork, end: float, keys, last_departure, held, rng):
             t, v = d[routed], k[routed]
     for ld in last_departure:
         np.maximum(ld - end, 0.0, out=ld)
-    return np.concatenate(times), np.concatenate(fired)
+    return times, fired
 
 
 def run(
@@ -261,21 +261,30 @@ def run(
 
     observations = (n_events - burn_in) // observe_every
     last_close = burn_in + observations * observe_every
-    firings = np.zeros(net.n_neurons + 1, dtype=np.int64)  # the last entry counts arrivals
+    n, offsets = net.n_neurons, net.layer_offsets
+    firings = np.zeros(n + 1, dtype=np.int64)  # the last entry takes arrivals; it is dropped
     span = 0.0  # simulated time from event burn_in to event last_close
     events = 0
     while events < n_events:
         end = min(slab_arrivals, n_events - events) / total_rate
-        t, fired = _sweep_slab(net, end, keys, last_departure, held, rng)
-        # The span's events are numbers burn_in + 1 through last_close.  The
-        # edges are the slab's start, its event times in order and its end,
-        # so edge e, for 1 <= e <= t.size, is the time of event events + e.
-        order = np.argsort(t)
-        edges = np.concatenate(([0.0], t[order], [end]))
-        lo, hi = np.clip((burn_in - events, last_close - events), 0, t.size + 1)
-        span += edges[hi] - edges[lo]
-        firings += np.bincount(fired[order[lo:hi]], minlength=net.n_neurons + 1)
-        events += t.size
+        times, fired = _sweep_slab(net, end, keys, last_departure, held, rng)
+        count = sum(t.size for t in times)
+        if burn_in <= events and events + count < last_close:  # the span covers the whole slab
+            span += end
+            for j, start, size in zip(fired, offsets, sizes):
+                firings[start : start + size] += np.bincount(j, minlength=size)
+        elif events < last_close and burn_in <= events + count:  # holds event burn_in or last_close
+            # The span's events are numbers burn_in + 1 through last_close.  The
+            # edges are the slab's start, its event times in order and its end,
+            # so edge e, for 1 <= e <= count, is the time of event events + e.
+            t = np.concatenate(times)
+            ids = np.concatenate([np.full(times[0].size, n), *map(np.add, fired, offsets)])
+            order = np.argsort(t)
+            edges = np.concatenate(([0.0], t[order], [end]))
+            lo, hi = np.clip((burn_in - events, last_close - events), 0, count + 1)
+            span += edges[hi] - edges[lo]
+            firings += np.bincount(ids[order[lo:hi]], minlength=n + 1)
+        events += count
     return QEstimate(firings[:-1] / span, observations, sizes, names)
 
 

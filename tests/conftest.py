@@ -1,5 +1,6 @@
 """Shared fixtures: synthetic container files, CSV exports of bundled
-datasets with a manifest, and discovery of locally provided image datasets."""
+datasets with a manifest, discovery of locally provided image datasets,
+and a cache of parsed tables that is never the user's own."""
 
 from __future__ import annotations
 
@@ -27,6 +28,23 @@ def require_file(name: str) -> Path:
             "(set LRNN_DATA_DIR or place the file there)"
         )
     return path
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _session_table_cache(tmp_path_factory):
+    """Point ``XDG_CACHE_HOME`` at a session directory before any module fixture loads a table."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
+        yield
+
+
+@pytest.fixture(autouse=True)
+def table_cache(tmp_path_factory, monkeypatch) -> Path:
+    """A fresh ``XDG_CACHE_HOME`` for each test, inherited by its subprocesses: every test
+    starts with no parsed table cached.  Returns the directory lrnn caches tables in."""
+    root = tmp_path_factory.mktemp("xdg-cache")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(root))
+    return root / "lrnn"
 
 
 MNIST_TRAIN_NAMES = ("train-images-idx3-ubyte", "train-images.idx3-ubyte")

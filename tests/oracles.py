@@ -355,3 +355,31 @@ def run_ensemble(
         total_sums += est.q * est.observation_count
         total_obs += est.observation_count
     return QEstimate(total_sums / total_obs, total_obs, list(net.layer_sizes), list(net.layer_names))
+
+
+def ordered_slab_accounting(
+    slabs, layer_sizes, n_events: int, observe_every: int, burn_in: int
+) -> tuple[np.ndarray, int]:
+    """q and the observation count from the recorded output of every slab of a run.
+
+    ``slabs`` holds, per slab, its length and :func:`lrnn.simulation._sweep_slab`'s
+    two lists.  Every slab's events are put in time order and cut at events
+    ``burn_in`` and ``last_close``, whether or not the span covers the whole
+    slab; :func:`lrnn.simulation.run` orders only the slabs holding a cut.
+    """
+    offsets = np.cumsum([0, *layer_sizes])
+    n = int(offsets[-1])
+    observations = (n_events - burn_in) // observe_every
+    last_close = burn_in + observations * observe_every
+    firings = np.zeros(n + 1, dtype=np.int64)
+    span, events = 0.0, 0
+    for end, times, fired in slabs:
+        t = np.concatenate(times)
+        ids = np.concatenate([np.full(times[0].size, n)] + [j + o for j, o in zip(fired, offsets)])
+        order = np.argsort(t)
+        edges = np.concatenate(([0.0], t[order], [end]))
+        lo, hi = np.clip((burn_in - events, last_close - events), 0, t.size + 1)
+        span += edges[hi] - edges[lo]
+        firings += np.bincount(ids[order[lo:hi]], minlength=n + 1)
+        events += t.size
+    return firings[:-1] / span, observations

@@ -1,6 +1,7 @@
 """Container parsing, normalization and minibatch iteration."""
 
 import json
+import os
 import re
 import struct
 import tempfile
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lrnn.data
 from lrnn import Dataset, iter_minibatches, load_dataset
 from lrnn.data import (
     IDX_IMAGE_MAGIC,
@@ -434,6 +436,135 @@ class TestImpute:
         got = _load_csv(f)
         np.testing.assert_array_equal(got[holes].view(np.uint64),
                                       np.broadcast_to(want, x.shape)[holes].view(np.uint64))
+
+
+class TestTableCache:
+    """``load_dataset`` keeps each parsed CSV table under ``$XDG_CACHE_HOME/lrnn``.
+
+    ``table_cache`` (conftest) is a fresh, empty cache directory for each test.
+    """
+
+    @staticmethod
+    def fresh(path, delimiter=",", has_header=False, label_column=None):
+        return _normalize_unit_interval(_load_csv(path, delimiter, has_header, label_column))
+
+    @staticmethod
+    def entries(cache):
+        return sorted(cache.iterdir()) if cache.exists() else []
+
+    @staticmethod
+    def refuse_parsing(monkeypatch):
+        def parse(*args):
+            raise AssertionError("the table was parsed again")
+
+        monkeypatch.setattr(lrnn.data, "_load_csv", parse)
+
+    def test_second_load_returns_the_same_bits_unparsed(self, tmp_path, table_cache, monkeypatch):
+        f = tmp_path / "t.csv"
+        f.write_text("a,b,label\n1.5,2,x\n3,0.25,y\n7,9,z\n")
+        first = load_dataset(f, has_header=True, label_column=-1).values
+        assert [e.suffix for e in self.entries(table_cache)] == [".npy"]
+        self.refuse_parsing(monkeypatch)
+        second = load_dataset(f, has_header=True, label_column=-1).values
+        assert second.dtype == np.float64 and second.flags.c_contiguous
+        assert second.tobytes() == first.tobytes() == self.fresh(f, ",", True, -1).tobytes()
+
+    def test_other_settings_make_other_entries(self, tmp_path, table_cache):
+        wide, narrow = tmp_path / "wide.csv", tmp_path / "narrow.csv"
+        wide.write_text("5,1,0\n2,4,8\n3,9,1\n8,6,2\n")
+        narrow.write_text("10\n20\n40\n70\n")
+        loads = [(wide, ",", False, None), (wide, ",", True, None), (wide, ",", False, 0),
+                 (wide, ",", False, -1), (narrow, ",", False, None), (narrow, ";", False, None),
+                 (narrow, "\t", True, None)]
+        for _ in range(2):
+            for path, delimiter, header, label in loads:
+                got = load_dataset(path, delimiter=delimiter, has_header=header,
+                                   label_column=label).values
+                assert got.tobytes() == self.fresh(path, delimiter, header, label).tobytes()
+        assert len(self.entries(table_cache)) == len(loads)
+
+    def test_rewrite_of_the_same_size_and_mtime_is_parsed_anew(self, tmp_path):
+        f = tmp_path / "t.csv"
+        f.write_text("1,2\n3,4\n6,5\n")
+        old = load_dataset(f).values
+        stat = f.stat()
+        f.write_text("1,2\n3,4\n6,9\n")
+        os.utime(f, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert (f.stat().st_size, f.stat().st_mtime_ns) == (stat.st_size, stat.st_mtime_ns)
+        new = load_dataset(f).values
+        assert new.tobytes() == self.fresh(f).tobytes() != old.tobytes()
+
+    @pytest.mark.parametrize("damage", [
+        lambda b: b"not an array at all",
+        lambda b: b[:-8],  # a truncated payload
+        lambda b: b[:20],  # a truncated header
+        lambda b: b"",
+        lambda b: b.replace(b"'<f8'", b"'<i8'"),  # a whole array of another dtype
+    ])
+    def test_unreadable_entry_is_parsed_past_and_replaced(self, tmp_path, table_cache, damage):
+        f = tmp_path / "t.csv"
+        f.write_text("1,2\n3,4\n6,5\n")
+        want = load_dataset(f).values.tobytes()
+        [entry] = self.entries(table_cache)
+        entry.write_bytes(damage(entry.read_bytes()))
+        assert load_dataset(f).values.tobytes() == want
+        assert self.entries(table_cache) == [entry]
+        assert np.load(entry, allow_pickle=False).tobytes() == want
+
+    def test_unwritable_cache_location_still_loads(self, tmp_path, monkeypatch):
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        f = tmp_path / "t.csv"
+        f.write_text("1,2\n3,4\n6,5\n")
+        for _ in range(2):
+            assert load_dataset(f).values.tobytes() == self.fresh(f).tobytes()
+        assert blocker.read_text() == ""
+
+    def test_relative_cache_locations_are_not_used(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("XDG_CACHE_HOME", "cache")
+        monkeypatch.setenv("HOME", "home")
+        (tmp_path / "t.csv").write_text("1,2\n3,4\n6,5\n")
+        for _ in range(2):
+            assert load_dataset("t.csv").values.tobytes() == self.fresh("t.csv").tobytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+
+    def test_file_changed_during_the_parse_leaves_no_entry(self, tmp_path, table_cache,
+                                                            monkeypatch):
+        f = tmp_path / "t.csv"
+        f.write_text("1,2\n3,4\n")
+        parse = _load_csv
+
+        def parse_after_an_edit(path, *args):
+            with open(path, "a") as out:
+                out.write("6,5\n")
+            return parse(path, *args)
+
+        monkeypatch.setattr(lrnn.data, "_load_csv", parse_after_an_edit)
+        assert load_dataset(f).instance_count == 3
+        assert self.entries(table_cache) == []
+
+    def test_ragged_table_fails_alike_twice_and_leaves_no_entry(self, tmp_path, table_cache):
+        f = tmp_path / "t.csv"
+        f.write_text("1,2\n3,4,5\n")
+        message = re.escape(f"{f}:2: ragged row of width 3, expected 2")
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                load_dataset(f)
+        assert self.entries(table_cache) == []
+
+    def test_imputed_table_round_trips_bit_for_bit(self, tmp_path, monkeypatch):
+        f = tmp_path / "t.csv"
+        f.write_text("0.1,?\n0.7,0.3\n,0.2\n0.3,0.11\n")
+        first = load_dataset(f).values
+        self.refuse_parsing(monkeypatch)
+        assert load_dataset(f).values.tobytes() == first.tobytes() == self.fresh(f).tobytes()
+
+    def test_image_files_never_reach_the_cache(self, idx_file, cifar_file, table_cache):
+        load_dataset(idx_file(np.zeros((2, 3, 3), dtype=np.uint8)), "idx")
+        load_dataset(cifar_file(np.zeros(1), np.zeros((1, 3072))), "cifar")
+        assert not table_cache.exists()
 
 
 class TestIterMinibatches:

@@ -118,6 +118,14 @@ class TestImportGraph:
         assert proc.returncode == 0, proc.stderr
         assert imported == {"lrnn"}
 
+    def test_only_a_table_load_imports_hashlib(self, tmp_path, idx_file, trained):
+        images = idx_file(np.zeros((2, 3, 3), dtype=np.uint8))
+        code = "import sys, lrnn; lrnn.load_dataset(sys.argv[1]); print('hashlib' in sys.modules)"
+        for path, hashed in ((images, "False"), (trained[1], "True")):
+            proc, _ = run_python("-c", code, str(path), cwd=tmp_path)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.strip() == hashed
+
     @pytest.mark.parametrize("name", lrnn.__all__)
     def test_name_is_bound_from_its_home_module(self, name):
         value = getattr(lrnn, name)

@@ -272,6 +272,46 @@ class TestDeclaredSizes:
         assert peak < 1_000_000
 
 
+#: (name, file bytes) of models with one header line of 8 MiB and no newline.
+_LONG_LINE = b"9" * (8 << 20)
+LONG_HEADER_LINES = [
+    ("LRNN2 depth line", b"LRNN2\ndepth " + _LONG_LINE),
+    ("LRNN2 dims line", b"LRNN2\ndepth 1\ndims 2 " + _LONG_LINE),
+    ("LRNN2 newline past the limit", b"LRNN2\ndepth 1\ndims 2 2" + b" " * 4088 + b"\n"),
+    ("LRNN1 tag line", b"LRNN1" + _LONG_LINE),
+    ("LRNN1 depth line", b"LRNN1\ndepth x" + _LONG_LINE),
+    ("LRNN1 dims line", b"LRNN1\ndepth 1\ndims 2 " + _LONG_LINE),
+    ("LRNN1 block header", b"LRNN1\ndepth 1\ndims 1 1\nW 1 1 " + _LONG_LINE),
+    ("LRNN1 block row", b"LRNN1\ndepth 1\ndims 1 1\nW 1 1 1\nx" + _LONG_LINE),
+]
+
+
+@pytest.mark.parametrize("body", [c[1] for c in LONG_HEADER_LINES],
+                         ids=[c[0] for c in LONG_HEADER_LINES])
+def test_long_line_refused_with_a_short_message(tmp_path, body):
+    f = tmp_path / "m.lrnn"
+    f.write_bytes(body)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as excinfo:
+            load_model(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(str(excinfo.value)) < 300, str(excinfo.value)[:300]
+    if body.startswith(b"LRNN2"):  # only the text layout reads the whole file
+        assert peak < 1 << 20
+        assert "header line longer than 4096 bytes" in str(excinfo.value)
+
+
+def test_longest_header_line_loads(tmp_path):
+    """A dims line of exactly 4096 bytes, its newline included, is read whole."""
+    f = tmp_path / "m.lrnn"
+    padded = GOLDEN_BYTES.replace(b"dims 2 2\n", b"dims 2 2" + b" " * 4087 + b"\n")
+    f.write_bytes(padded)
+    assert_bits_equal(load_model(f), golden_model())
+
+
 _SPACES = st.sampled_from([" ", "  ", "\t", " \t ", "\t\t"])
 
 

@@ -11,6 +11,7 @@ from oracles import (
     DeadNetworkError,
     gillespie_run,
     new_state,
+    ordered_slab_accounting,
     routing_lists,
     run_ensemble,
     step_event,
@@ -278,6 +279,41 @@ class TestRun:
         np.testing.assert_array_equal(solve_steady_state(feed_forward_spec(model, row)), 0.0)
         with pytest.raises(ValueError, match="no observation"):  # the count checks come first
             run(compile_sim(model, row), 500, observe_every=1000)
+
+    @pytest.mark.parametrize("slab, layouts", [
+        (simulation._SLAB_EVENTS, [(200_000, 0, 1000), (200_000, 70_000, 9_000),
+                                   (100_000, 99_000, 1000), (65_536, 0, 65_536)]),
+        (512, [(20_000, 0, 100), (20_000, 5_000, 700), (20_000, 19_990, 3), (3_333, 0, 3_333)]),
+        (2, [(2_000, 0, 10), (2_000, 601, 70), (2_000, 1_999, 1), (777, 0, 777)]),
+    ])
+    def test_whole_slabs_counted_as_ordered_ones(self, monkeypatch, slab, layouts):
+        """Counting a slab inside the span without ordering it changes no bit of q."""
+        monkeypatch.setattr(simulation, "_SLAB_EVENTS", slab)
+        sweep = simulation._sweep_slab
+        slabs = []
+
+        def recording(net, end, *args):
+            times, fired = sweep(net, end, *args)
+            slabs.append((end, [t.copy() for t in times], [j.copy() for j in fired]))
+            return times, fired
+
+        monkeypatch.setattr(simulation, "_sweep_slab", recording)
+        net = compile_sim(init_weights([5, 3, 2], seed=2), [0.9, 0.1, 0.6, 0.0, 0.4])
+        # The sweep draws the same events whatever the layout, so a first run
+        # gives the slab ends; one layout then cuts exactly at two of them.
+        n_events = layouts[0][0]
+        run(net, n_events, observe_every=n_events, seed=7)
+        ends = np.cumsum([sum(t.size for t in times) for _, times, _ in slabs])
+        burn_in, last_close = int(ends[ends.size // 4]), int(ends[ends <= n_events][-1])
+        assert (n_events - burn_in) // (last_close - burn_in) == 1
+        for n_events, burn_in, observe_every in [*layouts,
+                                                 (n_events, burn_in, last_close - burn_in)]:
+            slabs.clear()
+            est = run(net, n_events, observe_every=observe_every, seed=7, burn_in=burn_in)
+            q, observations = ordered_slab_accounting(
+                slabs, net.layer_sizes, n_events, observe_every, burn_in)
+            assert est.q.tobytes() == q.tobytes()
+            assert est.observation_count == observations
 
     def test_matches_forward_on_chain(self):
         model = scalar_model(0.8, 0.9)
