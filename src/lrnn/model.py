@@ -96,10 +96,6 @@ class LrnnModel:
         return [self.encode_weights[0].shape[0]] + [w.shape[1] for w in self.encode_weights]
 
     @property
-    def decode_dims(self) -> list[int]:
-        return [self.decode_weights[0].shape[0]] + [w.shape[1] for w in self.decode_weights]
-
-    @property
     def visible_dim(self) -> int:
         return self.encode_weights[0].shape[0]
 

@@ -74,8 +74,9 @@ def _read_block(path: Path, lines: list[str], pos: int, marker: str, m: int,
         raise ValueError(f"{path}: expected block '{marker} {m} {rows} {cols}', got {_quote(head)}")
     size = f"block {marker} {m} size"
     if (_header_size(path, size, parts[2]), _header_size(path, size, parts[3])) != (rows, cols):
-        raise ValueError(f"{path}: block {marker} {m} declares {parts[2]}x{parts[3]}, "
-                         f"dims require {rows}x{cols}")
+        declared = _quote(f"{parts[2]}x{parts[3]}")
+        raise ValueError(f"{path}: block {marker} {m} declares {declared}, "
+                         f"dims require {_quote(f'{rows}x{cols}')}")
     body = lines[pos + 1 : pos + 1 + rows]
     _line(path, lines, pos + rows, f"row {len(body)} of block {marker} {m}")  # before any parse
     try:
@@ -109,7 +110,7 @@ def _header_size(path: Path, what: str, text: str) -> int:
     except ValueError:
         raise ValueError(f"{path}: {what} must be an integer, got {_quote(text)}") from None
     if value < 1:
-        raise ValueError(f"{path}: {what} must be >= 1, got {value}")
+        raise ValueError(f"{path}: {what} must be >= 1, got {_quote(text)}")
     return value
 
 
@@ -121,7 +122,8 @@ def _read_dims(path: Path, lines: list[str]) -> list[int]:
     depth = _header_size(path, "depth", depth_line[1])
     dims_line = _line(path, lines, 2, "dims").split()
     if dims_line[:1] != ["dims"] or len(dims_line) != depth + 2:
-        raise ValueError(f"{path}: dims line must list {depth + 1} sizes")
+        raise ValueError(f"{path}: dims line must list depth + 1 sizes, "
+                         f"depth {_quote(depth_line[1])}")
     return [_header_size(path, "dims size", v) for v in dims_line[1:]]
 
 

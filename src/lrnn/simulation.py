@@ -233,6 +233,9 @@ def run(
     burn-in, transients included) to the close of the last whole window
     of ``observe_every`` events past it; later events are simulated but
     not counted.  ``observation_count`` is the number of those windows.
+    The span is cut by time in each slab it overlaps, and no slab is
+    sorted: no two event times coincide, so the firings timed between
+    event ``burn_in`` and the last close are those ranked between them.
     A network with no arrivals has no event: its exact estimate is q = 0.
     """
     _check_count("n_events", n_events)
@@ -261,31 +264,27 @@ def run(
 
     observations = (n_events - burn_in) // observe_every
     last_close = burn_in + observations * observe_every
-    n, offsets = net.n_neurons, net.layer_offsets
-    firings = np.zeros(n + 1, dtype=np.int64)  # the last entry takes arrivals; it is dropped
+    firings = np.zeros(net.n_neurons, dtype=np.int64)
     span = 0.0  # simulated time from event burn_in to event last_close
     events = 0
     while events < n_events:
         end = min(slab_arrivals, n_events - events) / total_rate
         times, fired = _sweep_slab(net, end, keys, last_departure, held, rng)
         count = sum(t.size for t in times)
-        if burn_in <= events and events + count < last_close:  # the span covers the whole slab
-            span += end
-            for j, start, size in zip(fired, offsets, sizes):
-                firings[start : start + size] += np.bincount(j, minlength=size)
-        elif events < last_close and burn_in <= events + count:  # holds event burn_in or last_close
-            # The span's events are numbers burn_in + 1 through last_close.  The
-            # edges are the slab's start, its event times in order and its end,
-            # so edge e, for 1 <= e <= count, is the time of event events + e.
-            t = np.concatenate(times)
-            ids = np.concatenate([np.full(times[0].size, n), *map(np.add, fired, offsets)])
-            order = np.argsort(t)
-            edges = np.concatenate(([0.0], t[order], [end]))
-            lo, hi = np.clip((burn_in - events, last_close - events), 0, count + 1)
-            span += edges[hi] - edges[lo]
-            firings += np.bincount(ids[order[lo:hi]], minlength=n + 1)
+        # event events + k is the slab's k-th earliest; one partition finds
+        # the times of events burn_in and last_close if the slab holds them
+        lo, hi = burn_in - events, last_close - events
+        if lo <= count and hi > 0:  # the slab overlaps the span
+            cuts = [k - 1 for k in (lo, hi) if 0 < k <= count]
+            t = np.partition(np.concatenate(times), cuts) if cuts else None
+            start = t[lo - 1] if lo > 0 else 0.0
+            stop = t[hi - 1] if hi <= count else end
+            span += stop - start
+            for d, j, first, size in zip(times[1:], fired, net.layer_offsets, sizes):
+                counted = j[(start < d) & (d <= stop)]
+                firings[first : first + size] += np.bincount(counted, minlength=size)
         events += count
-    return QEstimate(firings[:-1] / span, observations, sizes, names)
+    return QEstimate(firings / span, observations, sizes, names)
 
 
 @dataclass(frozen=True)

@@ -363,9 +363,9 @@ def ordered_slab_accounting(
     """q and the observation count from the recorded output of every slab of a run.
 
     ``slabs`` holds, per slab, its length and :func:`lrnn.simulation._sweep_slab`'s
-    two lists.  Every slab's events are put in time order and cut at events
-    ``burn_in`` and ``last_close``, whether or not the span covers the whole
-    slab; :func:`lrnn.simulation.run` orders only the slabs holding a cut.
+    two lists.  Every slab's events are put in time order and cut by rank at
+    events ``burn_in`` and ``last_close``; :func:`lrnn.simulation.run` sorts
+    no slab and cuts the span by time, which must give the same bits.
     """
     offsets = np.cumsum([0, *layer_sizes])
     n = int(offsets[-1])

@@ -545,6 +545,29 @@ class TestTableCache:
         assert load_dataset(f).instance_count == 3
         assert self.entries(table_cache) == []
 
+    def test_failed_entry_write_leaves_no_file_and_parses_again(self, tmp_path, table_cache,
+                                                                 monkeypatch):
+        f = tmp_path / "t.csv"
+        f.write_text("1,2\n3,4\n6,5\n")
+
+        def failing_replace(src, dst):
+            raise OSError("no space left on device")
+
+        with monkeypatch.context() as m:
+            m.setattr(lrnn.data.os, "replace", failing_replace)
+            assert load_dataset(f).values.tobytes() == self.fresh(f).tobytes()
+        assert self.entries(table_cache) == []
+        parse, parses = _load_csv, []
+
+        def counted_parse(*args):
+            parses.append(args)
+            return parse(*args)
+
+        monkeypatch.setattr(lrnn.data, "_load_csv", counted_parse)
+        assert load_dataset(f).values.tobytes() == self.fresh(f).tobytes()
+        assert len(parses) == 1
+        assert [e.suffix for e in self.entries(table_cache)] == [".npy"]
+
     def test_ragged_table_fails_alike_twice_and_leaves_no_entry(self, tmp_path, table_cache):
         f = tmp_path / "t.csv"
         f.write_text("1,2\n3,4,5\n")

@@ -53,7 +53,7 @@ class TestModelStructure:
         model = init_weights([4, 3, 2], seed=0)
         assert model.depth == 2
         assert model.encode_dims == [4, 3, 2]
-        assert model.decode_dims == [2, 3, 4]
+        assert [w.shape for w in model.decode_weights] == [(2, 3), (3, 4)]
         assert model.visible_dim == 4
 
     def test_broken_encode_chain_rejected(self):

@@ -167,20 +167,26 @@ LOAD_ERRORS = [
      "block W 1 row 0: could not convert string to float: 'half'"),
     ("malformed depth line", "deep 1\ndims 1 1\n", "malformed depth line 'deep 1'"),
     ("depth line without a value", "depth\ndims 1 1\n", "malformed depth line 'depth'"),
-    ("depth 0", "depth 0\ndims 1\n", "depth must be >= 1, got 0"),
+    ("depth 0", "depth 0\ndims 1\n", "depth must be >= 1, got '0'"),
     ("non-integer depth", "depth x\ndims 1 1\n", "depth must be an integer, got 'x'"),
     ("non-integer size", "depth 1\ndims 3 x\n", "dims size must be an integer, got 'x'"),
-    ("negative size", "depth 1\ndims 3 -1\n", "dims size must be >= 1, got -1"),
-    ("zero size", "depth 1\ndims 3 0\nW 1 3 0\n\n\n\nWB 1 0 3\n", "dims size must be >= 1, got 0"),
-    ("dims line too short", "depth 1\ndims 1\n", "dims line must list 2 sizes"),
-    ("dims line too long", "depth 1\ndims 1 1 1\n", "dims line must list 2 sizes"),
-    ("dims line with the wrong keyword", "depth 1\nsizes 1 1\n", "dims line must list 2 sizes"),
+    ("negative size", "depth 1\ndims 3 -1\n", "dims size must be >= 1, got '-1'"),
+    ("zero size", "depth 1\ndims 3 0\nW 1 3 0\n\n\n\nWB 1 0 3\n",
+     "dims size must be >= 1, got '0'"),
+    ("dims line too short", "depth 1\ndims 1\n",
+     "dims line must list depth + 1 sizes, depth '1'"),
+    ("dims line too long", "depth 1\ndims 1 1 1\n",
+     "dims line must list depth + 1 sizes, depth '1'"),
+    ("dims line with the wrong keyword", "depth 1\nsizes 1 1\n",
+     "dims line must list depth + 1 sizes, depth '1'"),
     ("wrong block marker", "depth 1\ndims 1 1\nWB 1 1 1\n0.5\n",
      "expected block 'W 1 1 1', got 'WB 1 1 1'"),
     ("wrong block index", "depth 1\ndims 1 1\nW 2 1 1\n0.5\n",
      "expected block 'W 1 1 1', got 'W 2 1 1'"),
     ("block header too short", "depth 1\ndims 1 1\nW 1 1\n0.5\n",
      "expected block 'W 1 1 1', got 'W 1 1'"),
+    ("block of other sizes", "depth 1\ndims 1 1\nW 1 2 1\n0.5\n",
+     "block W 1 declares '2x1', dims require '1x1'"),
     ("non-integer block size", "depth 1\ndims 1 1\nW 1 x 1\n0.5\n",
      "block W 1 size must be an integer, got 'x'"),
     ("value only float reads", "depth 1\ndims 1 2\nW 1 1 2\n0.5 0.1_5\n",
@@ -216,7 +222,7 @@ BINARY_LOAD_ERRORS = [
      "version tag mismatch, got 'LRNN3', expected 'LRNN2' or 'LRNN1'"),
     ("malformed depth line", lambda b: b.replace(b"depth 1", b"deep 1"),
      "malformed depth line 'deep 1'"),
-    ("no dims line", lambda b: b[:14], "dims line must list 2 sizes"),
+    ("no dims line", lambda b: b[:14], "dims line must list depth + 1 sizes, depth '1'"),
     ("NaN payload", lambda b: b[:-8] + np.array([np.nan]).astype("<f8").tobytes(),
      "stored model violates RNN constraints (1 row(s); first: WB1 row 1 non_finite nan)"),
     ("negative payload", lambda b: b[:-8] + np.array([-0.5]).astype("<f8").tobytes(),
@@ -302,6 +308,29 @@ def test_long_line_refused_with_a_short_message(tmp_path, body):
     if body.startswith(b"LRNN2"):  # only the text layout reads the whole file
         assert peak < 1 << 20
         assert "header line longer than 4096 bytes" in str(excinfo.value)
+
+
+_DIGITS = "9" * 4000
+#: (name, file text) of models whose header holds a number of 4,000 or more digits.
+LONG_HEADER_NUMBERS = [
+    ("LRNN2 depth", f"LRNN2\ndepth {_DIGITS}\ndims 1 1\n"),
+    ("LRNN1 depth", f"LRNN1\ndepth {_DIGITS}\ndims 1 1\n"),
+    ("LRNN1 depth of the most digits int reads", f"LRNN1\ndepth {'9' * 4300}\ndims 1 1\n"),
+    ("LRNN1 negative depth", f"LRNN1\ndepth -{_DIGITS}\ndims 1 1\n"),
+    ("LRNN1 block row count", f"LRNN1\ndepth 1\ndims 1 1\nW 1 {_DIGITS} 1\n0.5\n"),
+    ("LRNN1 dims size a block disagrees with", f"LRNN1\ndepth 1\ndims 1 {_DIGITS}\nW 1 1 1\n"),
+]
+
+
+@pytest.mark.parametrize("text", [c[1] for c in LONG_HEADER_NUMBERS],
+                         ids=[c[0] for c in LONG_HEADER_NUMBERS])
+def test_long_header_number_refused_with_a_short_message(tmp_path, text):
+    f = tmp_path / "m.lrnn"
+    f.write_text(text)
+    with pytest.raises(ValueError) as excinfo:
+        load_model(f)
+    assert str(excinfo.value).startswith(f"{f}: ")
+    assert len(str(excinfo.value)) < 300, str(excinfo.value)[:300]
 
 
 def test_longest_header_line_loads(tmp_path):

@@ -287,7 +287,7 @@ class TestRun:
         (2, [(2_000, 0, 10), (2_000, 601, 70), (2_000, 1_999, 1), (777, 0, 777)]),
     ])
     def test_whole_slabs_counted_as_ordered_ones(self, monkeypatch, slab, layouts):
-        """Counting a slab inside the span without ordering it changes no bit of q."""
+        """run sorts no slab: cutting the span by time changes no bit of q from a cut by rank."""
         monkeypatch.setattr(simulation, "_SLAB_EVENTS", slab)
         sweep = simulation._sweep_slab
         slabs = []
