@@ -45,6 +45,7 @@ IDX_IMAGE_MAGIC = 0x00000803
 CIFAR_RECORD_BYTES = 3073  # 1 label byte + 3 * 1024 pixel bytes
 
 _MISSING_CELLS = {"", "?"}
+_QUOTED_CHARS = 40  # the longest part of a file's text that an error message quotes
 
 
 def _as_2d(a, name: str) -> np.ndarray:
@@ -63,6 +64,13 @@ def _check_count(name: str, value, least: int = 1) -> None:
     """Refuse the argument ``name`` unless its ``value`` is an integer >= ``least``."""
     if not _is_count(value, least):
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _quote(text: str) -> str:
+    """``text`` quoted, or its first :data:`_QUOTED_CHARS` characters if it is longer."""
+    if len(text) <= _QUOTED_CHARS:
+        return repr(text)
+    return f"{text[:_QUOTED_CHARS]!r}... ({len(text)} characters)"
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -282,7 +290,7 @@ def _scan_csv(path, delimiter: str, has_header: bool, label_column: int | None) 
                     cells.append(float(cell))
                 except ValueError:
                     raise ValueError(
-                        f"{path}:{line_no}: non-numeric cell {cell!r} in column {col}"
+                        f"{path}:{line_no}: non-numeric cell {_quote(cell)} in column {col}"
                     ) from None
             line_nos.append(line_no)
     if not line_nos:

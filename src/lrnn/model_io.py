@@ -35,12 +35,12 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import _quote
 from .model import LrnnModel, validate_constraints
 
 FORMAT_TAG = "LRNN2"  # the layout save_model writes
 TEXT_TAG = "LRNN1"
 _HEADER_LINE_BYTES = 4096  # the most an LRNN2 depth or dims line may take, newline included
-_QUOTED_CHARS = 40  # the longest part of a file line that an error message quotes
 
 
 def save_model(model: LrnnModel, path) -> None:
@@ -50,13 +50,6 @@ def save_model(model: LrnnModel, path) -> None:
         f.write(f"{FORMAT_TAG}\ndepth {model.depth}\ndims {dims}\n".encode())
         for w in model.encode_weights + model.decode_weights:
             f.write(np.ascontiguousarray(w, dtype="<f8"))
-
-
-def _quote(text: str) -> str:
-    """``text`` quoted, or its first :data:`_QUOTED_CHARS` characters if it is longer."""
-    if len(text) <= _QUOTED_CHARS:
-        return repr(text)
-    return f"{text[:_QUOTED_CHARS]!r}... ({len(text)} characters)"
 
 
 def _line(path: Path, lines: list[str], pos: int, what: str) -> str:
@@ -134,8 +127,8 @@ def _read_payload(path: Path, f, dims: list[int]) -> tuple[list, list]:
     actual = os.fstat(f.fileno()).st_size
     if actual != expected:  # before any array is allocated
         fault = "payload ends early" if actual < expected else "trailing bytes after the final block"
-        raise ValueError(f"{path}: {fault}: dims {' '.join(map(str, dims))} need "
-                         f"{expected} bytes, the file has {actual}")
+        raise ValueError(f"{path}: {fault}: the dims declare a file of "
+                         f"{_quote(str(expected))} bytes, the file has {actual}")
     encode = [np.empty(shape, dtype="<f8") for shape in shapes]
     decode = [np.empty((cols, rows), dtype="<f8") for rows, cols in reversed(shapes)]
     for w in encode + decode:

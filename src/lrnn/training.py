@@ -43,6 +43,16 @@ Gram form for tall ones such as 1000 rows of 64 attributes.  Both compute
 the same rules up to rounding.  ``update_encode`` and ``update_decode``
 run the same rule code over all V units, choosing by B against V.
 
+Two products are not taken again when their bits are already known.
+Without shuffling every epoch sees the same minibatches, so the first
+trained pair's Gram matrix of batch b is the same in every epoch until the
+pair's live set shrinks; the loop keeps each batch's, in at most as many
+bytes as the dataset's values take, and forms them anew once the live width
+changes.  And the decode rescale takes no product h @ WB where no unit can
+saturate, every WB column summing below 1 - 4 H EPS_FLOOR, unless the
+product is wanted as the decode output: in a joint model that skips it for
+every pair but the innermost.
+
 Zero denominator entries are replaced by ``EPS_FLOOR`` before dividing, so
 the rules are total and preserve both nonnegativity and exact zeros.
 After each update the weights are pushed back inside the constraint set
@@ -301,15 +311,18 @@ class _LivePair:
         """The columns of ``a`` (all visible units) that belong to the live units."""
         return a if self.live is None else a[:, self.live]
 
-    def step(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def step(self, a: np.ndarray, gram: np.ndarray | None = None, decode_output: bool = True):
         """One pair update on input activations ``a`` of the live units (:meth:`gather`).
 
-        Returns h = min(a @ w, 1), the activations feeding the next layer,
-        and min(h @ wb, 1) for the new wb over all visible units, the pair's
-        decode output.
+        ``gram`` is ``_gram(a)`` if the caller has it at hand, else None: then
+        the step forms it where the Gram form applies.  Returns h = min(a @ w, 1),
+        the activations feeding the next layer, and min(h @ wb, 1) for the new
+        wb over all visible units, the pair's decode output.  Without
+        ``decode_output`` that is None whenever no decode unit can saturate,
+        as the rescale then needs no product (see :func:`_pair_update`).
         """
-        self.w, self.wb, h, q = _pair_update(a, self.w, self.wb)
-        q = self.widen(q)
+        self.w, self.wb, h, q = _pair_update(a, self.w, self.wb, gram, decode_output)
+        q = None if q is None else self.widen(q)
         self._drop_dead()
         return h, q
 
@@ -323,17 +336,26 @@ def _pair_step(a, w, wb):
     return (*pair.weights(), h, q)
 
 
-def _pair_update(a, w, wb):
+def _pair_update(a, w, wb, gram=None, decode_output=True):
     """The pair update on its operands as given.
 
     Both rules share one A^T A operand (the Gram matrix, if formed, is built
-    once).  The saturation rescale's pre-activations a @ w, scaled with w,
-    serve as the decode rule's A W_new and as h; those of the decode rescale,
-    h @ wb scaled with wb, as the decode output.  Neither needs clamping: a
-    unit whose peak exceeds 1 is divided by that peak, which puts every
-    entry at or below 1 exactly.
+    once, or passed in as ``gram``).  The saturation rescale's
+    pre-activations a @ w, scaled with w, serve as the decode rule's A W_new
+    and as h; those of the decode rescale, h @ wb scaled with wb, as the
+    decode output.  Neither needs clamping: a unit whose peak exceeds 1 is
+    divided by that peak, which puts every entry at or below 1 exactly.
+
+    As 0 <= h <= 1, no entry of h @ wb exceeds its wb column's sum.  A sum
+    below 1 - 4 H EPS_FLOOR (H = wb.shape[0]) leaves more room than the
+    rounding of an H-term nonnegative dot product in any order, so when
+    every column sum is below it no decode unit saturates: the rescale,
+    which divides only by peaks above 1, would leave wb as it is.  Then the
+    peak is not taken, nor, without ``decode_output``, the product (q is
+    None).
     """
-    gram = _gram(a)
+    if gram is None:
+        gram = _gram(a)
     w = _encode_rule(a, w, wb, gram)
     np.divide(w, _row_scale(w), out=w)
     h = a @ w
@@ -342,12 +364,42 @@ def _pair_update(a, w, wb):
     np.divide(h, scale, out=h)
     wb = _decode_rule(a, w, wb, gram, h)
     np.divide(wb, _row_scale(wb), out=wb)
-    q = h @ wb
-    scale = _saturation_scale(q)
-    if np.any(scale > 1.0):  # dividing by 1 is exact, so skip it when no unit saturates
-        np.divide(wb, scale, out=wb)
-        np.divide(q, scale, out=q)
+    idle = wb.sum(axis=0).max(initial=0.0) < 1.0 - 4 * wb.shape[0] * EPS_FLOOR
+    q = h @ wb if decode_output or not idle else None
+    if not idle:
+        scale = _saturation_scale(q)
+        if np.any(scale > 1.0):  # dividing by 1 is exact, so skip it when no unit saturates
+            np.divide(wb, scale, out=wb)
+            np.divide(q, scale, out=q)
     return w, wb, h, q
+
+
+class _GramCache:
+    """The first trained pair's Gram matrix of each minibatch, by batch index.
+
+    Without shuffling every epoch yields the same batches, so that pair's
+    input, gathered over its live units, and its Gram matrix are the same
+    bits for batch b in every epoch while the live set holds.  The live set
+    only shrinks, so a new input width clears the cache.  The matrices
+    kept take at most ``budget`` bytes; past that a batch's is formed anew.
+    """
+
+    def __init__(self, budget: int) -> None:
+        self.budget = budget
+        self.width = -1
+        self.grams: dict[int, np.ndarray] = {}
+
+    def gram(self, b: int, a: np.ndarray):
+        """``_gram(a)`` for batch ``b``'s input ``a``, kept or formed."""
+        if a.shape[1] != self.width:
+            self.width = a.shape[1]
+            self.grams.clear()
+        gram = self.grams.get(b)
+        if gram is None:
+            gram = _gram(a)
+            if gram is not None and (len(self.grams) + 1) * gram.nbytes <= self.budget:
+                self.grams[b] = gram
+        return gram
 
 
 def _fit(x: Dataset, model, first, cfg, curve, observer) -> None:
@@ -360,6 +412,7 @@ def _fit(x: Dataset, model, first, cfg, curve, observer) -> None:
     the budget and the early stop count this call's iterations only.
     """
     order_rng = np.random.default_rng([cfg.seed, _SHUFFLE_STREAM]) if cfg.shuffle else None
+    grams = None if cfg.shuffle else _GramCache(x.values.nbytes)
     depth = model.depth
     pairs = [
         _LivePair(model.encode_weights[m], model.decode_weights[depth - 1 - m])
@@ -376,17 +429,19 @@ def _fit(x: Dataset, model, first, cfg, curve, observer) -> None:
     try:
         while cfg.max_epochs is None or epoch < cfg.max_epochs:
             epoch += 1
-            for batch in iter_minibatches(x, cfg.batch_size, order_rng, cfg.shuffle):
+            for b, batch in enumerate(iter_minibatches(x, cfg.batch_size, order_rng, cfg.shuffle)):
                 a = clamp_unit(batch) if batch.max() > 1.0 else batch
                 for pair in pairs:
                     a = pair.gather(a)
                     if not a.any():  # 0 on every live unit: skip the pairs left
                         q = np.zeros(batch.shape)
                         break
-                    a, q = pair.step(a)
+                    gram = grams.gram(b, a) if grams is not None and pair is pairs[0] else None
+                    a, q = pair.step(a, gram, decode_output=pair is pairs[-1])
                 else:  # q: the innermost pair's decode output, the reconstruction's first layer
                     for pair in pairs[-2::-1]:
-                        q = clamp_unit(q @ pair.widen(pair.wb))
+                        q = q @ pair.widen(pair.wb)
+                        np.minimum(q, 1.0, out=q)
                 err = reconstruction_error(batch, q)
                 errors.append(err)
                 curve.append((offset + len(errors), err))

@@ -179,6 +179,13 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="non-numeric"):
             load_dataset(f)
 
+    def test_long_non_numeric_cell_quoted_in_a_short_message(self, tmp_path):
+        f = tmp_path / "t.csv"
+        f.write_text(f"1,2\n3,{'x' * 100_000}\n")
+        message = f"{f}:2: non-numeric cell {'x' * 40!r}... (100000 characters) in column 1"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_dataset(f)
+
     def test_missing_values_imputed_with_column_mean(self, tmp_path):
         f = tmp_path / "t.csv"
         f.write_text("1,10\n?,20\n3,\n")

@@ -209,15 +209,18 @@ def test_load_error_message(tmp_path, body, message):
 #: (name, change to GOLDEN_BYTES, message) of LRNN2 load errors.
 BINARY_LOAD_ERRORS = [
     ("short payload", lambda b: b[:-8],
-     "payload ends early: dims 2 2 need 87 bytes, the file has 79"),
-    ("header only", lambda b: b[:23], "payload ends early: dims 2 2 need 87 bytes, the file has 23"),
+     "payload ends early: the dims declare a file of '87' bytes, the file has 79"),
+    ("header only", lambda b: b[:23],
+     "payload ends early: the dims declare a file of '87' bytes, the file has 23"),
     ("extra bytes", lambda b: b + b"\0",
-     "trailing bytes after the final block: dims 2 2 need 87 bytes, the file has 88"),
+     "trailing bytes after the final block: the dims declare a file of '87' bytes, "
+     "the file has 88"),
     ("newline after the payload", lambda b: b + b"\n", "trailing bytes after the final block"),
     ("dims that disagree with the length", lambda b: b.replace(b"dims 2 2", b"dims 2 3"),
-     "payload ends early: dims 2 3 need 119 bytes, the file has 87"),
+     "payload ends early: the dims declare a file of '119' bytes, the file has 87"),
     ("dims of a smaller model", lambda b: b.replace(b"dims 2 2", b"dims 2 1"),
-     "trailing bytes after the final block: dims 2 1 need 55 bytes, the file has 87"),
+     "trailing bytes after the final block: the dims declare a file of '55' bytes, "
+     "the file has 87"),
     ("wrong tag", lambda b: b.replace(b"LRNN2", b"LRNN3"),
      "version tag mismatch, got 'LRNN3', expected 'LRNN2' or 'LRNN1'"),
     ("malformed depth line", lambda b: b.replace(b"depth 1", b"deep 1"),
@@ -270,7 +273,7 @@ class TestDeclaredSizes:
         f.write_bytes(b"LRNN2\ndepth 1\ndims 1000000000 1\n" + bytes(16))
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="need 16000000032 bytes, the file has 48"):
+            with pytest.raises(ValueError, match="a file of '16000000032' bytes, the file has 48"):
                 load_model(f)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -319,6 +322,9 @@ LONG_HEADER_NUMBERS = [
     ("LRNN1 negative depth", f"LRNN1\ndepth -{_DIGITS}\ndims 1 1\n"),
     ("LRNN1 block row count", f"LRNN1\ndepth 1\ndims 1 1\nW 1 {_DIGITS} 1\n0.5\n"),
     ("LRNN1 dims size a block disagrees with", f"LRNN1\ndepth 1\ndims 1 {_DIGITS}\nW 1 1 1\n"),
+    ("LRNN2 dims size", f"LRNN2\ndepth 1\ndims 1 {_DIGITS}\n"),
+    ("LRNN2 dims of two 2,000-digit sizes", f"LRNN2\ndepth 1\ndims {_DIGITS[:2000]} {_DIGITS[:2000]}\n"),
+    ("LRNN2 depth 2000", f"LRNN2\ndepth 2000\ndims{' 1' * 2001}\n"),
 ]
 
 

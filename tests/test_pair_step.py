@@ -23,6 +23,7 @@ from lrnn import (
     update_decode,
     update_encode,
 )
+from lrnn import training
 from lrnn.model import ROW_SUM_SLACK
 from lrnn.training import EPS_FLOOR, _LivePair, _pair_step
 
@@ -272,3 +273,51 @@ def test_each_rule_alone_descends(case):
     bound = objective(a, w, wb) * (1.0 + 1e-9)
     assert objective(a, update_encode(model, 1, a), wb) <= bound
     assert objective(a, w, update_decode(model, 1, a)) <= bound
+
+
+def full_pair_update(a, w, wb):
+    """The pair update with every rescale taken whole: each product and its peak."""
+    gram = training._gram(a)
+    w = training._encode_rule(a, w, wb, gram)
+    w = w / training._row_scale(w)
+    h = a @ w
+    scale = training._saturation_scale(h)
+    w, h = w / scale, h / scale
+    wb = training._decode_rule(a, w, wb, gram, h)
+    wb = wb / training._row_scale(wb)
+    q = h @ wb
+    scale = training._saturation_scale(q)
+    return w, wb / scale, h, q / scale
+
+
+_BOUND = 1.0 - 4 * 2 * EPS_FLOOR  # the column-sum bound of an H = 2 decode layer
+
+
+@pytest.mark.parametrize(
+    "decoded, idle, fires",
+    [
+        ([[0.25, 0.125], [0.25, 0.5]], True, False),  # column sums well below the bound
+        ([[_BOUND - 0.5, 0.5], [0.5, _BOUND - 0.5]], False, False),  # exactly at it
+        ([[0.9, 0.1], [0.9, 0.1]], False, True),  # 1.8: the rescale fires
+    ],
+    ids=["below", "at the bound", "above 1"],
+)
+def test_skipped_decode_product_changes_no_bit(monkeypatch, decoded, idle, fires):
+    """Whether or not the pair's decode output is wanted, the update gives
+    the full step's bits; the product is skipped only below the bound."""
+    decoded = np.array(decoded)
+    assert (decoded.sum(axis=0) < _BOUND).all() == idle
+    monkeypatch.setattr(training, "_decode_rule", lambda a, w, wb, gram, pre=None: decoded.copy())
+    a = np.random.default_rng(67).random((5, 2)) + 0.5
+    model = init_weights([2, 2], seed=67)
+    w, wb = model.encode_weights[0], model.decode_weights[0]
+    want = full_pair_update(a, w, wb)
+    assert (want[1].tobytes() != decoded.tobytes()) == fires
+    for decode_output in (True, False):
+        got = training._pair_update(a, w.copy(), wb.copy(), None, decode_output)
+        for g, x in zip(got[:3], want[:3]):
+            assert g.tobytes() == x.tobytes()
+        if decode_output or not idle:
+            assert got[3].tobytes() == want[3].tobytes()
+        else:
+            assert got[3] is None

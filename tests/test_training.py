@@ -13,6 +13,7 @@ from lrnn import (
     dataset_error,
     forward,
     init_weights,
+    iter_minibatches,
     project_rows,
     reconstruction_error,
     rescale_saturation,
@@ -22,8 +23,9 @@ from lrnn import (
     validate_constraints,
 )
 
-
+from lrnn import training
 from lrnn.model import rows_per_chunk
+from lrnn.training import _pair_step
 from oracles import scalar_update_decode, scalar_update_encode
 from synthetic import disjoint_halves, mnist_like
 
@@ -530,3 +532,82 @@ class TestBatchOnDeadUnits:
                 np.testing.assert_array_equal(a, b)
         assert np.isfinite([err for _, err in report.error_curve]).all()
         assert np.isfinite(report.final_full_error)
+
+
+def hand_chain(x, pairs, batch_size, epochs, shuffle_seed=None):
+    """Training by hand on the [0, 1] matrix ``x``: per batch, one
+    ``_pair_step`` per (W, WB) of ``pairs``, outermost first, then the decode
+    layers back out.  Batches are shuffled as ``train`` shuffles them for
+    seed ``shuffle_seed``, unless that is None.  Returns the trained pairs
+    and the batch errors."""
+    shuffle = shuffle_seed is not None
+    order = np.random.default_rng([shuffle_seed, training._SHUFFLE_STREAM]) if shuffle else None
+    pairs, errors = list(pairs), []
+    for _ in range(epochs):
+        for batch in iter_minibatches(x, batch_size, order, shuffle):
+            a = batch
+            for k, (w, wb) in enumerate(pairs):
+                w, wb, a, q = _pair_step(a, w, wb)
+                pairs[k] = (w, wb)
+            for _, wb in pairs[-2::-1]:
+                q = clamp_unit(q @ wb)
+            errors.append(reconstruction_error(batch, q))
+    return pairs, errors
+
+
+class TestFixedBatchesAcrossEpochs:
+    """Without shuffling, training keeps each batch's Gram matrix from one
+    epoch to the next and takes no outer decode product its rescale cannot
+    use; neither changes a bit of what one ``_pair_step`` per pair gives.
+    A shuffled run keeps no Gram matrix and equals its chain as well."""
+
+    CFG = TrainConfig(batch_size=10, max_epochs=4, seed=6)
+
+    def data(self):
+        x = np.random.default_rng(61).random((40, 6))
+        x[10:20, 2] = 0.0  # attribute 2 dies in the second batch of the first epoch
+        return x
+
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_joint_equals_a_hand_chain_of_pair_steps(self, shuffle):
+        x = self.data()
+        model, report = train(x, [6, 4, 2], replace(self.CFG, shuffle=shuffle))
+        assert report.dead_units == (not shuffle)
+        init = init_weights([6, 4, 2], self.CFG.seed)
+        pairs = zip(init.encode_weights, init.decode_weights[::-1])
+        (p1, p2), errors = hand_chain(x, pairs, 10, 4, self.CFG.seed if shuffle else None)
+        assert [e for _, e in report.error_curve] == errors
+        assert_same_arrays(snapshot(model), [p1[0], p2[0], p2[1], p1[1]])
+
+    def test_greedy_equals_a_hand_chain_of_pair_steps(self):
+        x = self.data()
+        model, report = train(x, [6, 4, 2], self.CFG, "greedy")
+        assert report.dead_units == 1
+        stage1 = init_weights([6, 4], self.CFG.seed)
+        [p1], errors1 = hand_chain(x, [stage1.encode_weights + stage1.decode_weights], 10, 4)
+        stage2 = init_weights([4, 2], self.CFG.seed + 1)
+        code = clamp_unit(x @ p1[0])
+        [p2], errors2 = hand_chain(code, [stage2.encode_weights + stage2.decode_weights], 10, 4)
+        assert [e for _, e in report.error_curve] == errors1 + errors2
+        assert_same_arrays(snapshot(model), [p1[0], p2[0], p2[1], p1[1]])
+
+    def test_kept_gram_matrices_never_take_more_bytes_than_the_dataset(self, monkeypatch):
+        # 3 attributes of 1 byte: 60 rows hold 180 bytes, a 3 x 3 Gram
+        # matrix takes 72, so two of the 20 batches' are kept.
+        pixels = Dataset(np.random.default_rng(62).integers(1, 256, (60, 3)).astype(np.uint8))
+        held = []
+        gram = training._GramCache.gram
+
+        def spy(cache, b, a):
+            out = gram(cache, b, a)
+            held.append(sum(g.nbytes for g in cache.grams.values()))
+            return out
+
+        monkeypatch.setattr(training._GramCache, "gram", spy)
+        cfg = TrainConfig(batch_size=3, max_epochs=3)
+        run = train(pixels, [3, 2], cfg)
+        assert max(held) == 144 <= pixels.values.nbytes
+        held.clear()
+        floats = Dataset(pixels.x)  # 1440 bytes: every batch's Gram matrix is kept
+        TestTrainOnDataset().assert_same_run(run, train(floats, [3, 2], cfg))
+        assert max(held) == 20 * 72 == floats.values.nbytes
