@@ -72,29 +72,54 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True, help="dataset path or JSON manifest")
     p.add_argument(
         "--format",
-        choices=["idx", "cifar", "csv", "manifest"],
+        choices=_FORMATS,
+        type=_choice(_FORMATS),
         default=None,
         help="container format; default: manifest for *.json, else guessed from suffix",
     )
     p.add_argument("--name", default=None, help="dataset name inside a manifest")
     p.add_argument("--delimiter", type=_one_char, default=",", help="csv delimiter (default ,)")
     p.add_argument("--header", action="store_true", help="csv file has a header row")
-    p.add_argument("--label-column", type=int, default=None, help="csv column to drop")
+    p.add_argument("--label-column", type=_int, default=None, help="csv column to drop")
 
 
 def _flag_type(kind: str, convert, test=lambda value: True):
-    """An argparse ``type``: ``convert`` the text, then refuse it unless ``test`` holds."""
+    """An argparse ``type``: ``convert`` the text, then refuse it unless ``test`` holds.
+
+    A refusal reads as argparse words its own, "invalid <kind> value: '<text>'",
+    with the text quoted by :func:`lrnn.data._quote`, so a long flag is cut short.
+    """
 
     def parse(text: str):
-        value = convert(text)
-        if not test(value):
-            raise ValueError(text)
-        return value
+        try:
+            value = convert(text)
+        except ValueError:
+            pass
+        else:
+            if test(value):
+                return value
+        raise argparse.ArgumentTypeError(f"invalid {kind} value: {data_mod._quote(text)}")
 
-    parse.__name__ = kind  # argparse reports a refusal as "invalid <__name__> value: '<text>'"
     return parse
 
 
+def _choice(names: list[str]):
+    """An argparse ``type`` for ``choices=names`` that refuses as argparse does, text quoted."""
+
+    def parse(text: str):
+        if text in names:
+            return text
+        choices = ", ".join(map(repr, names))
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {data_mod._quote(text)} (choose from {choices})"
+        )
+
+    return parse
+
+
+_FORMATS = ["idx", "cifar", "csv", "manifest"]
+_ALGOS = ["shallow", "greedy", "joint"]
+_int = _flag_type("int", int)
 _positive_int = _flag_type("positive integer", int, lambda v: v >= 1)
 _non_negative_int = _flag_type("non-negative integer", int, lambda v: v >= 0)
 _non_negative_float = _flag_type("non-negative number", float, lambda v: 0.0 <= v < math.inf)
@@ -231,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", parents=[], help="train an autoencoder")
     _add_data_flags(p)
     p.add_argument("--arch", type=_arch, required=True, help="layer sizes, e.g. 784,100")
-    p.add_argument("--algo", choices=["shallow", "greedy", "joint"], default="shallow")
+    p.add_argument("--algo", choices=_ALGOS, type=_choice(_ALGOS), default="shallow")
     p.add_argument("--batch", type=_positive_int, default=100)
     p.add_argument("--iters", type=_positive_int, default=None, help="total minibatch updates")
     p.add_argument("--epochs", type=_positive_int, default=None, help="full passes over the data")
@@ -260,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="spiking-event simulation of one instance")
     _add_data_flags(p)
     p.add_argument("--model", required=True)
-    p.add_argument("--index", type=int, default=0, help="instance row to simulate")
+    p.add_argument("--index", type=_int, default=0, help="instance row to simulate")
     p.add_argument("--events", type=_positive_int, required=True)
     p.add_argument("--observe-every", type=_positive_int, default=1000)
     p.add_argument("--burn-in", type=_non_negative_int, default=0)

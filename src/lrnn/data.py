@@ -66,10 +66,12 @@ def _check_count(name: str, value, least: int = 1) -> None:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
-def _quote(text: str) -> str:
-    """``text`` quoted, or its first :data:`_QUOTED_CHARS` characters if it is longer."""
+def _quote(value) -> str:
+    """``repr(value)``, or the first :data:`_QUOTED_CHARS` characters of its text
+    quoted when the text is longer: a string's own text, else its repr."""
+    text = value if isinstance(value, str) else repr(value)
     if len(text) <= _QUOTED_CHARS:
-        return repr(text)
+        return repr(value)
     return f"{text[:_QUOTED_CHARS]!r}... ({len(text)} characters)"
 
 
@@ -118,11 +120,18 @@ class Dataset:
     def rows(self, index) -> np.ndarray:
         """The rows ``index`` (an int, a slice or an index array) as float64.
 
-        Pixels are divided by 255.0 into a new float64 array in one pass,
-        the same bits as scaling the whole matrix at once.  A float64 matrix
-        is indexed as it is, so a slice of it is a view.
+        ``index`` may also be a pair (rows, columns), the columns an index
+        array: those columns of the rows, gathered into a C-contiguous array.
+        Pixels are gathered as bytes, then divided by 255.0 into a new
+        float64 array in one pass, the same bits as scaling the whole matrix
+        at once.  A float64 matrix is indexed as it is, so a slice of it is a
+        view.
         """
-        r = self.values[index]
+        if isinstance(index, tuple):
+            rows, columns = index
+            r = self.values[rows].take(columns, axis=-1)
+        else:
+            r = self.values[index]
         return np.divide(r, 255.0, dtype=np.float64) if r.dtype == np.uint8 else r
 
     @property
@@ -230,7 +239,7 @@ def _parse_bulk(
             x = np.loadtxt(
                 f, delimiter=delimiter, comments=None, converters=label, encoding=None, ndmin=2
             )
-    except ValueError:  # a parse or decode error, which the scan words
+    except (TypeError, ValueError):  # the scan words a parse error or a label column past int64
         return None
     if not np.isfinite(x).all() or label and x.shape[1] == 1:
         return None
@@ -269,7 +278,7 @@ def _scan_csv(path, delimiter: str, has_header: bool, label_column: int | None) 
                     del record[label_column]
                 except IndexError:
                     raise ValueError(
-                        f"{path}:{line_no}: no column {label_column} in row of "
+                        f"{path}:{line_no}: no column {_quote(label_column)} in row of "
                         f"width {len(record)}"
                     ) from None
             if width is None:
@@ -452,6 +461,7 @@ def load_dataset(
     _check_settings(settings, "load_dataset")
     if fmt is None:
         fmt = _guess_format(path)
+    where = ""  # for a manifest entry, the manifest and the entry's name
     if fmt == "manifest":
         entries = _load_manifest(path)
         if name is None:
@@ -462,8 +472,10 @@ def load_dataset(
             name = next(iter(entries))
         if name not in entries:
             known = ", ".join(sorted(entries))
-            raise ValueError(f"dataset {name!r} not in manifest (has: {known})")
+            known = known if len(known) <= _QUOTED_CHARS else _quote(known)
+            raise ValueError(f"dataset {_quote(name)} not in manifest (has: {known})")
         e = entries[name]
+        where = f"{path}: entry {_quote(name)}: "
         path, fmt = e["path"], e["format"]
         delimiter, label_column = e.get("delimiter", ","), e.get("label_column")
         has_header = e.get("header", False)
@@ -482,7 +494,7 @@ def load_dataset(
     elif fmt == "csv":
         x = _load_table(path, delimiter, has_header, label_column)
     else:
-        raise ValueError(f"unknown dataset format {fmt!r}")
+        raise ValueError(f"{where}unknown dataset format {_quote(fmt)}")
     return Dataset(x)
 
 
@@ -509,7 +521,7 @@ def _check_settings(settings: dict, where: str) -> None:
     """Refuse a setting of another type than :data:`_MANIFEST_SETTINGS` names."""
     for key, (kind, valid) in _MANIFEST_SETTINGS.items():
         if key in settings and not valid(settings[key]):
-            raise ValueError(f"{where} setting {key!r} must be {kind}, got {settings[key]!r}")
+            raise ValueError(f"{where} setting {key!r} must be {kind}, got {_quote(settings[key])}")
 
 
 def _load_manifest(path) -> dict[str, dict]:
@@ -523,15 +535,18 @@ def _load_manifest(path) -> dict[str, dict]:
     import json  # here, so that only manifests pay for the import
 
     path = Path(path)
-    with open(path) as f:
-        raw = json.load(f)
+    try:
+        with open(path) as f:
+            raw = json.load(f)
+    except ValueError as e:  # not JSON, not UTF-8, or a number past int's digit limit
+        raise ValueError(f"{path}: {e}") from None
     if not isinstance(raw, dict) or not raw:
         raise ValueError(f"{path}: manifest must be a non-empty JSON object")
     entries: dict[str, dict] = {}
     for name, entry in raw.items():
         if not isinstance(entry, dict) or "path" not in entry or "format" not in entry:
-            raise ValueError(f"{path}: entry {name!r} needs at least 'path' and 'format'")
-        _check_settings(entry, f"{path}: entry {name!r}")
+            raise ValueError(f"{path}: entry {_quote(name)} needs at least 'path' and 'format'")
+        _check_settings(entry, f"{path}: entry {_quote(name)}")
         entry = dict(entry)
         p = Path(entry["path"])
         if not p.is_absolute():

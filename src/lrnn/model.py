@@ -15,7 +15,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .data import _as_2d, _as_dataset, _is_count, as_matrix, iter_minibatches
+from .data import _as_2d, _as_dataset, _is_count, as_matrix
 
 #: Slack used when checking row sums against 1, absorbing rounding from
 #: the exact-normalization steps in training.
@@ -157,6 +157,12 @@ def reconstruction_error(x, q_dec_final) -> float:
     return float(np.mean(d))
 
 
+def _live_units(w: np.ndarray, wb: np.ndarray) -> np.ndarray:
+    """Mask of the visible units with a nonzero row of ``w``, the first encode
+    layer, or a nonzero column of ``wb``, the last decode layer."""
+    return (w != 0.0).any(axis=1) | (wb != 0.0).any(axis=0)
+
+
 def dataset_error(model: LrnnModel, x) -> float:
     """Reconstruction MSE over a whole dataset, evaluated in blocks of rows.
 
@@ -174,21 +180,47 @@ def dataset_error(model: LrnnModel, x) -> float:
     may differ in its last bit from the same row in a full one, and the
     last digit of the error can depend on the row count.  ``lrnn train``
     and ``lrnn eval`` use the same blocks and print the same error.
+
+    A visible unit is live when its row of the first encode layer or its
+    column of the last decode layer is nonzero (:func:`_live_units`, the
+    rule training uses).  A dead unit's input meets a zero row and its
+    reconstruction is a zero column's, exactly 0, so when some units are
+    dead and some live each block reads only the live columns, runs the
+    layers restricted to them, and adds each row's sum of x^2 over the dead
+    columns.  Pixels are gathered as bytes before they become floats.  The
+    products skip only exact zeros, but BLAS groups a shorter dot product
+    otherwise, and a row's error is then two sums added, so a row's output
+    and its squared error may move in their last bit against the full
+    width.  A pixel dataset and its float copy still give the same bits.
     """
     d = _as_dataset(x)
     if d.instance_count == 0:
         raise ValueError("empty dataset")
     _check_attributes("input", d.attribute_count, model.visible_dim)
+    step = rows_per_chunk(*model.encode_dims)  # the full width's blocks, live path or not
+    alive = _live_units(model.encode_weights[0], model.decode_weights[-1])
+    live = dead = None
+    if alive.any() and not alive.all():
+        live, dead = np.flatnonzero(alive), np.flatnonzero(~alive)
+        model = LrnnModel(
+            [model.encode_weights[0][live], *model.encode_weights[1:]],
+            [*model.decode_weights[:-1], model.decode_weights[-1][:, live]],
+        )
     row_sums = np.empty(d.instance_count)
-    start = 0
-    for chunk in iter_minibatches(d, rows_per_chunk(*model.encode_dims)):
+    for start in range(0, d.instance_count, step):
+        rows = slice(start, start + step)
+        chunk = d.rows(rows if live is None else (rows, live))
         for q in _layers(model, chunk):
             pass  # only the latest layer is kept
         np.subtract(chunk, q, out=q)
         np.multiply(q, q, out=q)
-        np.sum(q, axis=1, out=row_sums[start : start + len(q)])
-        start += len(q)
-        del q  # before the next chunk's output is built
+        np.sum(q, axis=1, out=row_sums[rows])
+        del q  # freed before the next array is built, which can reuse its memory
+        if dead is not None:  # a dead unit's reconstruction is 0
+            q = d.rows((rows, dead))
+            np.multiply(q, q, out=q)
+            row_sums[rows] += q.sum(axis=1)
+            del q
     return math.fsum(row_sums) / (d.instance_count * d.attribute_count)
 
 

@@ -177,18 +177,32 @@ def _serve(times, ids, width: int, last_departure: np.ndarray, rng):
     return d, ids
 
 
-def _route_keys(w: np.ndarray) -> np.ndarray:
-    """Cumulative rows of ``w``, row i shifted by 2i, flattened.
+def _route_keys(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cumulative rows of ``w``, row i shifted by 2i, flattened, and each row's last key.
 
     For a spike of row i and a uniform u, the number of keys at or below
     2i + u, less i times the row width, is the drawn target; the row width
     itself means the leak.  Rows sum to at most 1, so the shift keeps them
     apart, and a zero weight is never drawn.
     """
-    return (np.cumsum(w, axis=1) + 2.0 * np.arange(w.shape[0])[:, None]).ravel()
+    keys = np.cumsum(w, axis=1) + 2.0 * np.arange(w.shape[0])[:, None]
+    return keys.ravel(), keys[:, -1].copy()
 
 
-def _sweep_slab(net: SimNetwork, end: float, keys, last_departure, held, rng):
+def _route(keys: np.ndarray, tails: np.ndarray, j: np.ndarray, u: np.ndarray):
+    """Which spikes of rows ``j`` drawing uniforms ``u`` are routed, and their targets.
+
+    ``keys`` and ``tails`` are :func:`_route_keys`'s.  A needle 2j + u at or
+    above its row's last key passes every key of the row, which is the
+    leak; only the other needles are searched for.
+    """
+    needle = 2.0 * j + u
+    routed = needle < tails[j]
+    k = np.searchsorted(keys, needle[routed], side="right")
+    return routed, k - j[routed] * (keys.size // tails.size)
+
+
+def _sweep_slab(net: SimNetwork, end: float, routes, last_departure, held, rng):
     """Every event of the next slab, which lasts ``end``, swept layer by layer.
 
     Returns two lists: the event times (relative to the slab's start) of
@@ -209,12 +223,9 @@ def _sweep_slab(net: SimNetwork, end: float, keys, last_departure, held, rng):
         d, j = d[now], j[now]
         times.append(d)
         fired.append(j)
-        if layer < len(keys):
-            width = sizes[layer + 1]
-            k = np.searchsorted(keys[layer], 2.0 * j + rng.random(j.size), side="right")
-            k -= j * width
-            routed = k < width
-            t, v = d[routed], k[routed]
+        if layer < len(routes):
+            routed, v = _route(*routes[layer], j, rng.random(j.size))
+            t = d[routed]
     for ld in last_departure:
         np.maximum(ld - end, 0.0, out=ld)
     return times, fired
@@ -251,7 +262,7 @@ def run(
     if total_rate == 0.0:  # no event can occur, so no neuron is ever excited
         return QEstimate(np.zeros(net.n_neurons), 0, sizes, names)
     rng = np.random.default_rng(seed)
-    keys = [_route_keys(w) for w in net.weight_chain]
+    routes = [_route_keys(w) for w in net.weight_chain]
     last_departure = [np.zeros(size) for size in net.layer_sizes]
     held = [(np.zeros(0), np.zeros(0, dtype=np.intp))] * len(net.layer_sizes)
     slab_arrivals = max(1, _SLAB_EVENTS // (len(net.layer_sizes) + 1))
@@ -269,7 +280,7 @@ def run(
     events = 0
     while events < n_events:
         end = min(slab_arrivals, n_events - events) / total_rate
-        times, fired = _sweep_slab(net, end, keys, last_departure, held, rng)
+        times, fired = _sweep_slab(net, end, routes, last_departure, held, rng)
         count = sum(t.size for t in times)
         # event events + k is the slab's k-th earliest; one partition finds
         # the times of events burn_in and last_close if the slab holds them

@@ -87,8 +87,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .data import Dataset, _as_dataset, _check_count, as_matrix, iter_minibatches
-from .model import LrnnModel, _check_attributes, _encode_dims, clamp_unit, dataset_error
-from .model import reconstruction_error, rows_per_chunk
+from .model import LrnnModel, _check_attributes, _encode_dims, _live_units, clamp_unit
+from .model import dataset_error, reconstruction_error, rows_per_chunk
 
 #: Replacement for exact-zero denominators (IEEE double machine epsilon).
 EPS_FLOOR = float(np.finfo(np.float64).eps)
@@ -261,11 +261,6 @@ def rescale_saturation(w: np.ndarray, a: np.ndarray) -> np.ndarray:
     satisfying the row-sum constraints still satisfy them afterwards.
     """
     return w / _saturation_scale(a @ w)
-
-
-def _live_units(w: np.ndarray, wb: np.ndarray) -> np.ndarray:
-    """Mask of the visible units of a pair with a nonzero W row or WB column."""
-    return (w != 0.0).any(axis=1) | (wb != 0.0).any(axis=0)
 
 
 class _LivePair:
@@ -460,9 +455,15 @@ def _fit(x: Dataset, model, first, cfg, curve, observer) -> None:
 
 
 def _code(x: Dataset, w: np.ndarray) -> Dataset:
-    """The encode layer ``min(min(x, 1) @ w, 1)`` of every row, a chunk of rows at a time."""
-    chunks = iter_minibatches(x, rows_per_chunk(*w.shape))
-    return Dataset(np.concatenate([clamp_unit(clamp_unit(c) @ w) for c in chunks]))
+    """The encode layer ``min(min(x, 1) @ w, 1)`` of every row, a chunk of rows at a
+    time, each written into its rows of the one result array."""
+    out = np.empty((x.instance_count, w.shape[1]))
+    step = rows_per_chunk(*w.shape)
+    for start in range(0, x.instance_count, step):
+        block = out[start : start + step]
+        np.matmul(clamp_unit(x.rows(slice(start, start + step))), w, out=block)
+        np.minimum(block, 1.0, out=block)
+    return Dataset(out)
 
 
 def train(

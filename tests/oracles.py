@@ -13,7 +13,7 @@ from math import fsum, log
 
 import numpy as np
 
-from lrnn.model import forward
+from lrnn.model import LrnnModel, forward
 from lrnn.simulation import QEstimate, SimNetwork, run
 
 
@@ -32,6 +32,31 @@ def dataset_error_reference(model, x, chunk_rows: int = 4096) -> float:
         chunk = x[start : start + chunk_rows]
         for row in chunk - forward(model, chunk).output:
             row_sums.append(np.sum(row * row))
+    return fsum(row_sums) / x.size
+
+
+def dataset_error_live_reference(model, x, chunk_rows: int) -> float:
+    """Whole-dataset MSE taken over the live visible units only, those with a
+    nonzero row of the first encode layer or column of the last decode layer.
+
+    Per chunk of ``chunk_rows`` rows, ``forward`` runs the model restricted
+    to the live units on the chunk's live columns; each row's squared error
+    there is summed, its sum of squares over the dead columns added, and the
+    row sums are added with ``math.fsum``.  ``dataset_error`` must give these
+    bits on a model with both live and dead units."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    w, wb = model.encode_weights[0], model.decode_weights[-1]
+    live = [v for v in range(x.shape[1]) if w[v].any() or wb[:, v].any()]
+    dead = [v for v in range(x.shape[1]) if v not in live]
+    restricted = LrnnModel(
+        [w[live], *model.encode_weights[1:]], [*model.decode_weights[:-1], wb[:, live]]
+    )
+    row_sums = []
+    for start in range(0, x.shape[0], chunk_rows):
+        chunk = x[start : start + chunk_rows]
+        for row, out in zip(chunk, forward(restricted, chunk[:, live]).output):
+            d, rest = row[live] - out, row[dead]
+            row_sums.append(np.sum(d * d) + np.sum(rest * rest))
     return fsum(row_sums) / x.size
 
 

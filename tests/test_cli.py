@@ -157,6 +157,21 @@ class TestTrain:
             assert "_positive_int" not in err and "_non_negative" not in err, err
         assert not out.exists()
 
+    def test_long_flag_text_quoted_in_a_short_message(self, csv_dataset, tmp_path, capsys):
+        out = tmp_path / "m.lrnn"
+        for flag, words in (
+            ("--batch", "invalid positive integer value"),
+            ("--arch", "invalid layer sizes value"),
+            ("--label-column", "invalid int value"),
+            ("--format", "invalid choice"),
+            ("--algo", "invalid choice"),
+        ):
+            assert main(train_args(csv_dataset, out, [flag, "9" * 5000])) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert f"argument {flag}: {words}: {'9' * 40!r}... (5000 characters)" in err, err
+            assert len(err) < 2000, err[-300:]
+        assert not out.exists()
+
     def test_non_finite_csv_cells_are_data_errors(self, csv_dataset, tmp_path):
         out = tmp_path / "m.lrnn"
         lines = csv_dataset.read_text().splitlines()

@@ -796,3 +796,58 @@ class TestLoadDatasetGuess:
         manifest = self.write_manifest(tmp_path, {"m": {"path": "m.json", "format": "manifest"}})
         with pytest.raises(ValueError, match="unknown dataset format 'manifest'"):
             load_dataset(manifest)
+
+
+_TABLE = "1,2\n3,4\n"
+#: (kind, file text with "@" where the long token goes, loader keywords).
+_TOKEN_POSITIONS = [
+    ("csv", "@,2\n3,4\n", {}),
+    ("csv", "1,2\n3,@\n", {}),
+    ("csv", "1,2\n3,4,@\n", {}),
+    ("csv", "@,b\n1,2\n3,4\n", {"has_header": True}),
+    ("csv", "@,1,2\n4,5,6\n", {"label_column": 0}),
+    ("manifest", '{"@": {"path": "t.csv", "format": "csv"}}', {}),
+    ("manifest", '{"t": {"path": "t.csv", "format": "@"}}', {}),
+    ("manifest", '{"t": {"path": "t.csv", "format": "csv", "delimiter": "@"}}', {}),
+    ("manifest", '{"t": {"path": "t.csv", "format": "csv", "header": @}}', {}),
+    ("manifest", '{"t": {"path": "t.csv", "format": "csv", "header": "@"}}', {}),
+    ("manifest", '{"t": {"path": "t.csv", "format": "csv", "label_column": @}}', {}),
+    ("manifest", '{"t": {"path": "t.csv", "format": "csv", "label_column": "@"}}', {}),
+    ("manifest", '{"t": {"path": "t.csv", "format": "csv", "@": 1}}', {}),
+    ("idx", "@", {}),
+    ("idx", "\0\0\x08\x03\0\0\0\x01\0\0\0\x01\0\0\0\x01@", {}),
+    ("model", "@\ndepth 1\ndims 1 1\n", {}),
+    ("model", "LRNN2\ndepth @\ndims 1 1\n", {}),
+    ("model", "LRNN2\ndepth 1\ndims @ 1\n", {}),
+    ("model", "LRNN2\ndepth 1\ndims 1 @\n", {}),
+    ("model", "LRNN1\ndepth 1\ndims 1 1\n@ 1 1 1\n0.5\nWB 1 1 1\n0.5\n", {}),
+    ("model", "LRNN1\ndepth 1\ndims 1 1\nW 1 @ 1\n0.5\nWB 1 1 1\n0.5\n", {}),
+    ("model", "LRNN1\ndepth 1\ndims 1 1\nW 1 1 1\n@\nWB 1 1 1\n0.5\n", {}),
+    ("model", "LRNN1\ndepth 1\ndims 1 1\nW 1 1 1\n0.5\nWB 1 1 @\n0.5\n", {}),
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    case=st.sampled_from(_TOKEN_POSITIONS),
+    token=st.builds(lambda c, n: c * n, st.sampled_from("019xeZ"), st.integers(1, 100_000)),
+)
+def test_long_token_refused_with_a_short_message(tmp_path_factory, case, token):
+    """A token of up to 10^5 digits or letters in any header, cell or setting
+    of a file is read or refused with a ``ValueError`` of under 300 characters
+    that names the file.  A manifest's ``path`` setting is left out: it names
+    another file, which the operating system opens or refuses."""
+    from lrnn import load_model
+
+    kind, text, kwargs = case
+    root = tmp_path_factory.mktemp("long")
+    table = root / "t.csv"
+    table.write_text(_TABLE)
+    path = root / {"csv": "d.csv", "manifest": "m.json", "idx": "d.idx", "model": "m.lrnn"}[kind]
+    path.write_bytes(text.replace("@", token).encode("latin-1"))
+    try:
+        load_model(path) if kind == "model" else load_dataset(path, kind, **kwargs)
+    except ValueError as e:
+        message = str(e)
+        assert len(message) < 300, message[:300]
+        assert str(path) in message or str(table) in message, message

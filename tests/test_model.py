@@ -21,7 +21,7 @@ from lrnn import (
 )
 import lrnn.model
 from lrnn.model import CHUNK_VALUES, rows_per_chunk
-from oracles import dataset_error_reference
+from oracles import dataset_error_live_reference, dataset_error_reference
 
 nonneg_matrices = arrays(
     np.float64,
@@ -235,6 +235,77 @@ class TestReconstructionError:
             finally:
                 tracemalloc.stop()
             assert peak < 4 * chunk_bytes, type(x)
+
+
+def with_dead_units(model: LrnnModel, dead) -> LrnnModel:
+    """``model`` with the first encode layer's rows and the last decode layer's
+    columns ``dead`` zeroed: visible units no update can revive."""
+    w, wb = model.encode_weights[0].copy(), model.decode_weights[-1].copy()
+    w[dead], wb[:, dead] = 0.0, 0.0
+    return LrnnModel([w, *model.encode_weights[1:]], [*model.decode_weights[:-1], wb])
+
+
+#: Dead visible units of a 12-wide model: several, and all but unit 5.
+DEAD_SETS = ([0, 3, 4, 7, 11], [v for v in range(12) if v != 5])
+
+
+class TestDatasetErrorOverLiveUnits:
+    """A model with dead visible units is evaluated on its live columns only."""
+
+    @pytest.mark.parametrize("dims", [[12, 5], [12, 6, 3]])
+    @pytest.mark.parametrize("dead", DEAD_SETS, ids=["several dead", "one live"])
+    def test_bit_identical_to_the_live_oracle(self, monkeypatch, dims, dead):
+        rng = np.random.default_rng(7)
+        pixels = rng.integers(0, 256, (301, 12)).astype(np.uint8)  # a one-row last chunk
+        pixels[:, dead[:2]] = 0  # dead units often see zeros, but not always
+        floats = pixels / 255.0
+        wide = rng.random((30, 12)) * 1.5  # entries above 1, clamped by the visual layer
+        model = with_dead_units(init_weights(dims, seed=8), dead)
+        for x in (Dataset(pixels), Dataset(floats), floats, wide):
+            rows = x.x if isinstance(x, Dataset) else x
+            want = dataset_error_live_reference(model, rows, rows_per_chunk(*dims))
+            assert dataset_error(model, x) == want
+            assert dataset_error(model, x) == pytest.approx(
+                dataset_error_reference(model, rows), rel=1e-12, abs=0.0)
+            for chunk_rows in (300, 7, 1):
+                with monkeypatch.context() as m:
+                    m.setattr(lrnn.model, "CHUNK_VALUES", chunk_rows * 12)
+                    got = dataset_error(model, x)
+                assert got == dataset_error_live_reference(model, rows, chunk_rows)
+
+    def test_pixels_and_their_float_copy_give_the_same_bits(self):
+        pixels = np.random.default_rng(9).integers(0, 256, (2000, 784)).astype(np.uint8)
+        model = with_dead_units(init_weights([784, 20], seed=1), np.arange(0, 784, 3))
+        assert dataset_error(model, Dataset(pixels)) == dataset_error(model, pixels / 255.0)
+
+    def test_a_unit_with_a_decode_column_only_is_live(self):
+        """A zero first-W row alone does not make a unit dead: its reconstruction
+        is not 0, and the live path must take its column."""
+        x = np.random.default_rng(10).random((40, 12))
+        model = with_dead_units(init_weights([12, 6, 3], seed=2), [0, 1])
+        model.encode_weights[0][2] = 0.0
+        assert dataset_error(model, x) == dataset_error_live_reference(model, x, 40)
+        assert dataset_error(model, x) == pytest.approx(
+            dataset_error_reference(model, x), rel=1e-12, abs=0.0)
+
+    def test_no_live_unit_takes_the_full_width(self):
+        """With every unit dead the reconstruction is 0 and the error the mean of x^2."""
+        x = np.random.default_rng(11).random((50, 12))
+        model = with_dead_units(init_weights([12, 5], seed=3), list(range(12)))
+        assert dataset_error(model, x) == dataset_error_reference(model, x, rows_per_chunk(12, 5))
+
+    def test_working_set_is_a_few_chunks(self):
+        """The bound of ``test_dataset_error_working_set_is_a_few_chunks``, with dead units."""
+        pixels = np.random.default_rng(4).integers(0, 256, (40_000, 64)).astype(np.uint8)
+        model = with_dead_units(init_weights([64, 32, 16], seed=0), np.arange(0, 64, 2))
+        for x in (Dataset(pixels), pixels / 255.0):
+            tracemalloc.start()
+            try:
+                dataset_error(model, x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * CHUNK_VALUES * 8, type(x)
 
 
 class TestValidateConstraints:

@@ -34,6 +34,30 @@ from lrnn import simulation
 from lrnn.simulation import _departures
 
 
+def test_leak_pre_test_equals_a_full_search():
+    """A spike leaks when its needle reaches its row's last key: the same
+    decision, and the same targets, as searching every needle."""
+    rows = np.array([
+        [0.0, 0.0, 0.0, 0.0],  # a zero row: every spike leaks
+        [0.25, 0.25, 0.25, 0.25],  # sums to exactly 1
+        [0.0, 0.5, 0.0, 0.3],  # zero weights among nonzero ones
+        [0.1, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.6],
+    ])
+    w = np.tile(rows, (20, 1))  # shifts 2j up to 198
+    keys, tails = simulation._route_keys(w)
+    rng = np.random.default_rng(12)
+    j = rng.integers(0, w.shape[0], 100_000)
+    u = rng.random(j.size)
+    u[:8] = [0.0, 0.25, 0.5, 0.75, 0.8, 0.1, 0.6, 1.0 - 2.0**-53]  # on the keys, and the top
+    routed, k = simulation._route(keys, tails, j, u)
+    full = np.searchsorted(keys, 2.0 * j + u, side="right") - j * w.shape[1]
+    np.testing.assert_array_equal(routed, full < w.shape[1])
+    np.testing.assert_array_equal(k, full[routed])
+    assert not routed[j % 5 == 0].any()
+    assert (w[j[routed], k] > 0.0).all()  # a zero weight is never drawn
+
+
 def scalar_model(w=0.8, wb=0.9):
     return LrnnModel([np.array([[w]])], [np.array([[wb]])])
 

@@ -1,5 +1,6 @@
 """Multiplicative update rules, constraint handling and the training loop."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -24,9 +25,9 @@ from lrnn import (
 )
 
 from lrnn import training
-from lrnn.model import rows_per_chunk
+from lrnn.model import CHUNK_VALUES, rows_per_chunk
 from lrnn.training import _pair_step
-from oracles import scalar_update_decode, scalar_update_encode
+from oracles import dataset_error_live_reference, scalar_update_decode, scalar_update_encode
 from synthetic import disjoint_halves, mnist_like
 
 
@@ -368,6 +369,23 @@ class TestTrainGreedy:
         np.testing.assert_array_equal(model.encode_weights[1], stage2.encode_weights[0])
         np.testing.assert_array_equal(model.decode_weights[0], stage2.decode_weights[0])
 
+    def test_stage_code_is_written_into_one_array(self):
+        """``_code`` writes each chunk into its rows of the result: the traced
+        peak is the result and a few chunks, not the result twice over, and
+        the bits are those of the clamped chunk products concatenated."""
+        d = Dataset(np.random.default_rng(9).integers(0, 256, (10_000, 64)).astype(np.uint8))
+        w = init_weights([64, 200], seed=1).encode_weights[0]
+        tracemalloc.start()
+        try:
+            code = training._code(d, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < code.values.nbytes + 4 * CHUNK_VALUES * 8
+        chunks = iter_minibatches(d, rows_per_chunk(*w.shape))
+        want = np.concatenate([clamp_unit(clamp_unit(c) @ w) for c in chunks])
+        assert code.values.tobytes() == want.tobytes()
+
     def test_curve_concatenates_stages(self):
         x = np.random.default_rng(7).random((12, 4))
         cfg = TrainConfig(batch_size=4, max_iterations=5, seed=0)
@@ -444,6 +462,15 @@ class TestLiveUnitsHeldAcrossBatches:
     def test_data_has_dead_visible_units(self):
         _, report = train(self.X, [64, 6], TrainConfig(batch_size=10, max_iterations=3))
         assert 0 < report.dead_units < 64
+
+    @pytest.mark.parametrize("dims", [[64, 6], [64, 6, 3]])
+    def test_final_error_is_taken_over_the_live_units(self, dims):
+        """The dead units ``TrainReport`` counts are those the final error skips."""
+        model, report = train(self.X, dims, TrainConfig(batch_size=10, max_iterations=8))
+        w, wb = model.encode_weights[0], model.decode_weights[-1]
+        assert report.dead_units == np.count_nonzero(~(w.any(axis=1) | wb.any(axis=0))) > 0
+        chunk_rows = rows_per_chunk(*dims)
+        assert report.final_full_error == dataset_error_live_reference(model, self.X.x, chunk_rows)
 
     def test_joint_observer_sees_the_model_train_returns(self):
         cfg = TrainConfig(batch_size=10, max_iterations=14, seed=2)
