@@ -455,7 +455,8 @@ def load_dataset(
     or a string of comma-separated files.  ``fmt="manifest"`` loads entry ``name`` of the
     manifest at ``path``, or its only entry when ``name`` is None; the
     entry's own settings replace ``delimiter``, ``has_header`` and
-    ``label_column``.  Those three are refused as a manifest's are.
+    ``label_column``.  Those three are refused as a manifest's are.  An
+    entry whose file cannot be read raises ``ValueError``, not ``OSError``.
     """
     settings = {"delimiter": delimiter, "header": has_header, "label_column": label_column}
     _check_settings(settings, "load_dataset")
@@ -479,22 +480,27 @@ def load_dataset(
         path, fmt = e["path"], e["format"]
         delimiter, label_column = e.get("delimiter", ","), e.get("label_column")
         has_header = e.get("header", False)
-    if fmt == "idx":
-        x = _load_idx(path)
-    elif fmt == "cifar":
-        if isinstance(path, (str, Path)) and Path(path).is_dir():
-            batches = sorted(Path(path).glob("*.bin"))
-            if not batches:
-                raise ValueError(f"no *.bin batch files under {path}")
-        elif isinstance(path, str):
-            batches = path.split(",")
+    try:
+        if fmt == "idx":
+            x = _load_idx(path)
+        elif fmt == "cifar":
+            if isinstance(path, (str, Path)) and Path(path).is_dir():
+                batches = sorted(Path(path).glob("*.bin"))
+                if not batches:
+                    raise ValueError(f"no *.bin batch files under {path}")
+            elif isinstance(path, str):
+                batches = path.split(",")
+            else:
+                batches = [path] if isinstance(path, Path) else list(path)
+            x = _load_cifar10(batches)
+        elif fmt == "csv":
+            x = _load_table(path, delimiter, has_header, label_column)
         else:
-            batches = [path] if isinstance(path, Path) else list(path)
-        x = _load_cifar10(batches)
-    elif fmt == "csv":
-        x = _load_table(path, delimiter, has_header, label_column)
-    else:
-        raise ValueError(f"{where}unknown dataset format {_quote(fmt)}")
+            raise ValueError(f"{where}unknown dataset format {_quote(fmt)}")
+    except OSError as e:  # an entry's path names a file of the manifest's choosing: quote it
+        if not where:
+            raise
+        raise ValueError(f"{where}cannot read {_quote(str(path))}: {e.strerror}") from None
     return Dataset(x)
 
 

@@ -396,6 +396,7 @@ EXIT_CASES = [
      EXIT_USAGE),
     ("missing data file", _train(data="{tmp}/missing.csv"), EXIT_DATA),
     ("mistyped manifest setting", _train(data="{manifest}"), EXIT_DATA),
+    ("manifest entry naming a missing file", _train(data="{lost_entry}"), EXIT_DATA),
     ("attribute mismatch", _train(arch="5,2"), EXIT_DATA),
     ("no data column besides the label", _train("--delimiter", ";", "--label-column", "0"),
      EXIT_DATA),
@@ -424,10 +425,13 @@ class TestExitCodes:
         manifest = tmp_path / "m.json"  # "header" must be a JSON boolean
         manifest.write_text(json.dumps({"d": {"path": str(csv_dataset), "format": "csv",
                                               "header": "false"}}))
+        lost_entry = tmp_path / "lost.json"
+        lost_entry.write_text(json.dumps({"d": {"path": "missing.csv", "format": "csv"}}))
         long_field = tmp_path / "long_field.csv"  # csv refuses a field of over 131,072 characters
         long_field.write_text(f'1,2,3,4\n5,6,7,"{"8" * 200_000}"\n')
         return {"data": csv_dataset, "model": model, "narrow": narrow, "manifest": manifest,
-                "long_field": long_field, "tmp": tmp_path, "out": tmp_path / "out"}
+                "lost_entry": lost_entry, "long_field": long_field, "tmp": tmp_path,
+                "out": tmp_path / "out"}
 
     @pytest.mark.parametrize("argv,code", [c[1:] for c in EXIT_CASES],
                              ids=[c[0] for c in EXIT_CASES])

@@ -41,8 +41,9 @@ class TestLoadIdx:
     def test_bad_magic(self, tmp_path):
         bad = tmp_path / "bad.idx"
         bad.write_bytes(b"\x00\x00\x08\x01" + b"\x00" * 12)
-        with pytest.raises(ValueError, match="magic"):
+        with pytest.raises(ValueError) as excinfo:
             load_dataset(bad, "idx")
+        assert str(excinfo.value).startswith(f"{bad}: bad IDX magic")
 
     def test_truncated(self, idx_file):
         path = idx_file(np.zeros((4, 5, 5), dtype=np.uint8))
@@ -170,8 +171,9 @@ class TestLoadCsv:
     def test_ragged_rows(self, tmp_path):
         f = tmp_path / "t.csv"
         f.write_text("1,2\n3,4,5\n")
-        with pytest.raises(ValueError, match="ragged"):
+        with pytest.raises(ValueError) as excinfo:
             load_dataset(f)
+        assert str(excinfo.value).startswith(f"{f}:2: ragged row")
 
     def test_non_numeric_cell(self, tmp_path):
         f = tmp_path / "t.csv"
@@ -807,6 +809,7 @@ _TOKEN_POSITIONS = [
     ("csv", "@,b\n1,2\n3,4\n", {"has_header": True}),
     ("csv", "@,1,2\n4,5,6\n", {"label_column": 0}),
     ("manifest", '{"@": {"path": "t.csv", "format": "csv"}}', {}),
+    ("manifest", '{"t": {"path": "@", "format": "csv"}}', {}),
     ("manifest", '{"t": {"path": "t.csv", "format": "@"}}', {}),
     ("manifest", '{"t": {"path": "t.csv", "format": "csv", "delimiter": "@"}}', {}),
     ("manifest", '{"t": {"path": "t.csv", "format": "csv", "header": @}}', {}),
@@ -820,10 +823,6 @@ _TOKEN_POSITIONS = [
     ("model", "LRNN2\ndepth @\ndims 1 1\n", {}),
     ("model", "LRNN2\ndepth 1\ndims @ 1\n", {}),
     ("model", "LRNN2\ndepth 1\ndims 1 @\n", {}),
-    ("model", "LRNN1\ndepth 1\ndims 1 1\n@ 1 1 1\n0.5\nWB 1 1 1\n0.5\n", {}),
-    ("model", "LRNN1\ndepth 1\ndims 1 1\nW 1 @ 1\n0.5\nWB 1 1 1\n0.5\n", {}),
-    ("model", "LRNN1\ndepth 1\ndims 1 1\nW 1 1 1\n@\nWB 1 1 1\n0.5\n", {}),
-    ("model", "LRNN1\ndepth 1\ndims 1 1\nW 1 1 1\n0.5\nWB 1 1 @\n0.5\n", {}),
 ]
 
 
@@ -835,8 +834,7 @@ _TOKEN_POSITIONS = [
 def test_long_token_refused_with_a_short_message(tmp_path_factory, case, token):
     """A token of up to 10^5 digits or letters in any header, cell or setting
     of a file is read or refused with a ``ValueError`` of under 300 characters
-    that names the file.  A manifest's ``path`` setting is left out: it names
-    another file, which the operating system opens or refuses."""
+    that names the file."""
     from lrnn import load_model
 
     kind, text, kwargs = case
