@@ -20,8 +20,9 @@ Exit codes are decided in one place, :func:`main`, which prints one line
 for a failure:
 
 - 0 success, a dead-network simulation included (its estimates are 0);
-- 1 usage error: a bad flag value, contradicting flags, or an event
-  budget that yields no observation;
+- 1 usage error: a bad flag value, contradicting flags, an output flag
+  naming the file of ``--data``, ``--model`` or another output, or an
+  event budget that yields no observation;
 - 2 data error: a data or model file that cannot be used (wrong width,
   ``--index`` out of range), and any file that cannot be read or written;
 - 3 numeric failure: training, compiling or simulating the model failed.
@@ -133,6 +134,18 @@ def _read(load, *args, **kwargs):
         return load(*args, **kwargs)
     except ValueError as e:
         raise DataError(e) from e
+
+
+def _refuse_aliased_outputs(args) -> None:
+    """Refuse an output that resolves to the same file as an input or an earlier output."""
+    seen: dict[str, str] = {}
+    for flag in ("data", "model", "out", "curve", "dump"):  # inputs first
+        path = getattr(args, flag, None)
+        if path is not None:
+            real = os.path.realpath(path)
+            if real in seen and flag not in ("data", "model"):
+                raise UsageError(f"--{flag} {data_mod._quote(path)} names the --{seen[real]} file")
+            seen.setdefault(real, flag)
 
 
 def _load_data(args, width: int) -> data_mod.Dataset:
@@ -302,6 +315,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code) if e.code else EXIT_OK
     try:
+        _read(_refuse_aliased_outputs, args)  # a path with a NUL byte is a data error
         args.func(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -309,7 +323,7 @@ def main(argv=None) -> int:
     except (DataError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
-    except (ValueError, FloatingPointError) as e:
+    except ValueError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK

@@ -258,13 +258,16 @@ def _scan_csv(path, delimiter: str, has_header: bool, label_column: int | None) 
     header = has_header
 
     def records(f):
-        """Each record with the file line it ends on; a ``csv.Error`` as a ``ValueError``."""
+        """Each record with the file line it ends on; a ``csv.Error`` or bytes that are
+        not text as a ``ValueError``."""
         reader = csv.reader(f, delimiter=delimiter)
         try:
             for record in reader:
                 yield reader.line_num, record
         except csv.Error as e:  # such as a field over csv's size limit
             raise ValueError(f"{path}:{reader.line_num}: {e}") from None
+        except UnicodeDecodeError:  # decoded a chunk ahead of the reader: no line to name
+            raise ValueError(f"{path}: not text in the {f.encoding} encoding") from None
 
     with open(path, newline="") as f:
         for line_no, record in records(f):

@@ -45,13 +45,12 @@ run the same rule code over all V units, choosing by B against V.
 
 Two products are not taken again when their bits are already known.
 Without shuffling every epoch sees the same minibatches, so the first
-trained pair's Gram matrix of batch b is the same in every epoch until the
-pair's live set shrinks; the loop keeps each batch's, in at most as many
-bytes as the dataset's values take, and forms them anew once the live width
-changes.  And the decode rescale takes no product h @ WB where no unit can
-saturate, every WB column summing below 1 - 4 H EPS_FLOOR, unless the
-product is wanted as the decode output: in a joint model that skips it for
-every pair but the innermost.
+trained pair's Gram matrix of batch b is the same in every epoch while the
+pair's live set holds; that pair keeps each batch's, in at most as many
+bytes as the dataset's values take, and drops them with its dead units.
+And the decode rescale takes no product h @ WB where no unit can saturate,
+every WB column summing below 1 - 4 H EPS_FLOOR: the loop forms the
+innermost pair's then, as the batch reconstruction needs it, and no other.
 
 Zero denominator entries are replaced by ``EPS_FLOOR`` before dividing, so
 the rules are total and preserve both nonnegativity and exact zeros.
@@ -271,12 +270,17 @@ class _LivePair:
     unit is live (then ``w`` and ``wb`` are W and WB themselves).  The rules
     keep exact zeros, so the live set only shrinks: each step drops the
     units it killed.
+
+    ``grams`` keeps the Gram matrix of each batch stepped on, by index, in
+    at most ``budget`` bytes; past that a batch's is formed anew.  It holds
+    only while the live set does, so dropping units empties ``grams``.
     """
 
-    def __init__(self, w: np.ndarray, wb: np.ndarray) -> None:
+    def __init__(self, w: np.ndarray, wb: np.ndarray, budget: int = 0) -> None:
         self.visible = w.shape[0]
         self.live: np.ndarray | None = None
         self.w, self.wb = w, wb
+        self.budget, self.grams = budget, {}
         self._drop_dead()
 
     def _drop_dead(self) -> None:
@@ -285,6 +289,7 @@ class _LivePair:
             keep = np.flatnonzero(alive)
             self.live = keep if self.live is None else self.live[keep]
             self.w, self.wb = self.w[keep], self.wb[:, keep]
+            self.grams.clear()
 
     def widen(self, m: np.ndarray) -> np.ndarray:
         """``m``, whose columns are the live units, among zero columns for the dead ones."""
@@ -306,17 +311,20 @@ class _LivePair:
         """The columns of ``a`` (all visible units) that belong to the live units."""
         return a if self.live is None else a[:, self.live]
 
-    def step(self, a: np.ndarray, gram: np.ndarray | None = None, decode_output: bool = True):
-        """One pair update on input activations ``a`` of the live units (:meth:`gather`).
-
-        ``gram`` is ``_gram(a)`` if the caller has it at hand, else None: then
-        the step forms it where the Gram form applies.  Returns h = min(a @ w, 1),
-        the activations feeding the next layer, and min(h @ wb, 1) for the new
-        wb over all visible units, the pair's decode output.  Without
-        ``decode_output`` that is None whenever no decode unit can saturate,
-        as the rescale then needs no product (see :func:`_pair_update`).
+    def step(self, a: np.ndarray, b: int = 0):
+        """One pair update on input activations ``a`` of the live units (:meth:`gather`),
+        batch ``b``'s: one index means one ``a`` while the live set holds, as
+        its Gram matrix is kept.  Returns h = min(a @ w, 1), the activations
+        feeding the next layer, and min(h @ wb, 1) for the new wb over all
+        visible units, the pair's decode output, or None where no decode unit
+        can saturate, as the rescale then takes no product (:func:`_pair_update`).
         """
-        self.w, self.wb, h, q = _pair_update(a, self.w, self.wb, gram, decode_output)
+        gram = self.grams.get(b)
+        if gram is None:
+            gram = _gram(a)
+            if gram is not None and (len(self.grams) + 1) * gram.nbytes <= self.budget:
+                self.grams[b] = gram
+        self.w, self.wb, h, q = _pair_update(a, self.w, self.wb, gram)
         q = None if q is None else self.widen(q)
         self._drop_dead()
         return h, q
@@ -325,13 +333,13 @@ class _LivePair:
 def _pair_step(a, w, wb):
     """One Algorithm body for an (encode, decode) pair on input activations ``a``:
     a single :meth:`_LivePair.step`.  Returns the new W and WB, h and the
-    decode output (see there)."""
+    decode output (see there), formed where the step returned None."""
     pair = _LivePair(w, wb)
     h, q = pair.step(pair.gather(a))
-    return (*pair.weights(), h, q)
+    return (*pair.weights(), h, pair.widen(h @ pair.wb) if q is None else q)
 
 
-def _pair_update(a, w, wb, gram=None, decode_output=True):
+def _pair_update(a, w, wb, gram=None):
     """The pair update on its operands as given.
 
     Both rules share one A^T A operand (the Gram matrix, if formed, is built
@@ -345,9 +353,8 @@ def _pair_update(a, w, wb, gram=None, decode_output=True):
     below 1 - 4 H EPS_FLOOR (H = wb.shape[0]) leaves more room than the
     rounding of an H-term nonnegative dot product in any order, so when
     every column sum is below it no decode unit saturates: the rescale,
-    which divides only by peaks above 1, would leave wb as it is.  Then the
-    peak is not taken, nor, without ``decode_output``, the product (q is
-    None).
+    which divides only by peaks above 1, would leave wb as it is.  Then
+    neither the product nor its peak is taken, and q is None.
     """
     if gram is None:
         gram = _gram(a)
@@ -359,42 +366,14 @@ def _pair_update(a, w, wb, gram=None, decode_output=True):
     np.divide(h, scale, out=h)
     wb = _decode_rule(a, w, wb, gram, h)
     np.divide(wb, _row_scale(wb), out=wb)
-    idle = wb.sum(axis=0).max(initial=0.0) < 1.0 - 4 * wb.shape[0] * EPS_FLOOR
-    q = h @ wb if decode_output or not idle else None
-    if not idle:
-        scale = _saturation_scale(q)
-        if np.any(scale > 1.0):  # dividing by 1 is exact, so skip it when no unit saturates
-            np.divide(wb, scale, out=wb)
-            np.divide(q, scale, out=q)
+    if wb.sum(axis=0).max(initial=0.0) < 1.0 - 4 * wb.shape[0] * EPS_FLOOR:
+        return w, wb, h, None
+    q = h @ wb
+    scale = _saturation_scale(q)
+    if np.any(scale > 1.0):  # dividing by 1 is exact, so skip it when no unit saturates
+        np.divide(wb, scale, out=wb)
+        np.divide(q, scale, out=q)
     return w, wb, h, q
-
-
-class _GramCache:
-    """The first trained pair's Gram matrix of each minibatch, by batch index.
-
-    Without shuffling every epoch yields the same batches, so that pair's
-    input, gathered over its live units, and its Gram matrix are the same
-    bits for batch b in every epoch while the live set holds.  The live set
-    only shrinks, so a new input width clears the cache.  The matrices
-    kept take at most ``budget`` bytes; past that a batch's is formed anew.
-    """
-
-    def __init__(self, budget: int) -> None:
-        self.budget = budget
-        self.width = -1
-        self.grams: dict[int, np.ndarray] = {}
-
-    def gram(self, b: int, a: np.ndarray):
-        """``_gram(a)`` for batch ``b``'s input ``a``, kept or formed."""
-        if a.shape[1] != self.width:
-            self.width = a.shape[1]
-            self.grams.clear()
-        gram = self.grams.get(b)
-        if gram is None:
-            gram = _gram(a)
-            if gram is not None and (len(self.grams) + 1) * gram.nbytes <= self.budget:
-                self.grams[b] = gram
-        return gram
 
 
 def _fit(x: Dataset, model, first, cfg, curve, observer) -> None:
@@ -407,10 +386,11 @@ def _fit(x: Dataset, model, first, cfg, curve, observer) -> None:
     the budget and the early stop count this call's iterations only.
     """
     order_rng = np.random.default_rng([cfg.seed, _SHUFFLE_STREAM]) if cfg.shuffle else None
-    grams = None if cfg.shuffle else _GramCache(x.values.nbytes)
+    budget = 0 if cfg.shuffle else x.values.nbytes  # only the first pair's inputs repeat
     depth = model.depth
     pairs = [
-        _LivePair(model.encode_weights[m], model.decode_weights[depth - 1 - m])
+        _LivePair(model.encode_weights[m], model.decode_weights[depth - 1 - m],
+                  budget if m == first else 0)
         for m in range(first, depth)
     ]
 
@@ -431,9 +411,10 @@ def _fit(x: Dataset, model, first, cfg, curve, observer) -> None:
                     if not a.any():  # 0 on every live unit: skip the pairs left
                         q = np.zeros(batch.shape)
                         break
-                    gram = grams.gram(b, a) if grams is not None and pair is pairs[0] else None
-                    a, q = pair.step(a, gram, decode_output=pair is pairs[-1])
+                    a, q = pair.step(a, b)
                 else:  # q: the innermost pair's decode output, the reconstruction's first layer
+                    if q is None:  # no unit saturates: the product h @ WB itself
+                        q = pairs[-1].widen(a @ pairs[-1].wb)
                     for pair in pairs[-2::-1]:
                         q = q @ pair.widen(pair.wb)
                         np.minimum(q, 1.0, out=q)

@@ -413,6 +413,19 @@ EXIT_CASES = [
 ]
 
 
+#: (name, argv template) of each output flag that names an input file or another output.
+ALIAS_CASES = [
+    ("train --out is --data", _train(out="{data}")),
+    ("train --curve is --data", _train("--curve", "{data}")),
+    ("train --curve is --out", _train("--curve", "{out}")),
+    ("eval --dump is --model",
+     ["eval", "--model", "{model}", "--data", "{data}", "--dump", "{model}"]),
+    ("eval --dump is --data", ["eval", "--model", "{model}", "--data", "{data}", "--dump", "{data}"]),
+    ("simulate --out is --model", _simulate("--out", "{model}")),
+    ("simulate --out links to --data", _simulate("--out", "{link}")),
+]
+
+
 class TestExitCodes:
     """Each failure returns its code from ``main`` with one message; nothing escapes."""
 
@@ -445,6 +458,26 @@ class TestExitCodes:
         if code == EXIT_DATA:
             assert len(err.splitlines()) == 1, err
         assert not paths["out"].exists()  # a failed command leaves no output
+
+    @pytest.mark.parametrize("argv", [c[1] for c in ALIAS_CASES], ids=[c[0] for c in ALIAS_CASES])
+    def test_output_naming_an_input_or_output_is_refused(self, paths, argv, capsys):
+        (paths["tmp"] / "link.csv").symlink_to(paths["data"])
+        before = {k: paths[k].read_bytes() for k in ("data", "model")}
+        capsys.readouterr()
+        assert main([a.format(link=paths["tmp"] / "link.csv", **paths) for a in argv]) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert {k: paths[k].read_bytes() for k in before} == before
+        assert not paths["out"].exists()  # nothing written
+
+    def test_table_not_in_the_reader_encoding_is_a_data_error(self, paths, capsys):
+        data = paths["tmp"] / "latin1.csv"
+        data.write_bytes("café,b,c,d\n1,2,3,4\n5,6,7,8\n".encode("latin-1"))
+        capsys.readouterr()
+        assert main([a.format(**paths) for a in _train("--header", data=str(data))]) == EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"data error: {data}: "), err
+        assert not paths["out"].exists()
 
     def test_library_value_error_is_a_numeric_failure(self, paths, monkeypatch, capsys):
         def diverge(*args, **kwargs):

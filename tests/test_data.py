@@ -266,6 +266,17 @@ class TestLoadCsv:
             load_dataset(f)
         assert csv.field_size_limit() == limit  # the process-wide limit is left alone
 
+    def test_table_not_in_the_reader_encoding_refused(self, tmp_path):
+        # Latin-1 "café": byte 0xe9 starts no UTF-8 character.  The text is
+        # decoded ahead of the reader in chunks, so no line is named.
+        f = tmp_path / "t.csv"
+        f.write_bytes("café,b,c\n1,2,3\n4,5,6\n".encode("latin-1"))
+        with open(f, newline="") as text:
+            encoding = text.encoding
+        message = rf"^{re.escape(str(f))}: not text in the {encoding} encoding$"
+        with pytest.raises(ValueError, match=message):
+            load_dataset(f, has_header=True)
+
 
 class TestLoadCsvTraps:
     """Tables a plain ``np.loadtxt`` call reads differently from the line scan."""

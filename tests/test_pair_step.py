@@ -315,8 +315,8 @@ _BOUND = 1.0 - 4 * 2 * EPS_FLOOR  # the column-sum bound of an H = 2 decode laye
     ids=["below", "at the bound", "above 1"],
 )
 def test_skipped_decode_product_changes_no_bit(monkeypatch, decoded, idle, fires):
-    """Whether or not the pair's decode output is wanted, the update gives
-    the full step's bits; the product is skipped only below the bound."""
+    """The update gives the full step's bits; the decode product, and with
+    it the decode output, is skipped only below the bound."""
     decoded = np.array(decoded)
     assert (decoded.sum(axis=0) < _BOUND).all() == idle
     monkeypatch.setattr(training, "_decode_rule", lambda a, w, wb, gram, pre=None: decoded.copy())
@@ -325,11 +325,9 @@ def test_skipped_decode_product_changes_no_bit(monkeypatch, decoded, idle, fires
     w, wb = model.encode_weights[0], model.decode_weights[0]
     want = full_pair_update(a, w, wb)
     assert (want[1].tobytes() != decoded.tobytes()) == fires
-    for decode_output in (True, False):
-        got = training._pair_update(a, w.copy(), wb.copy(), None, decode_output)
-        for g, x in zip(got[:3], want[:3]):
-            assert g.tobytes() == x.tobytes()
-        if decode_output or not idle:
-            assert got[3].tobytes() == want[3].tobytes()
-        else:
-            assert got[3] is None
+    got = training._pair_update(a, w.copy(), wb.copy(), None)
+    for g, x in zip(got[:3], want[:3]):
+        assert g.tobytes() == x.tobytes()
+    assert (got[3] is None) == idle
+    if not idle:
+        assert got[3].tobytes() == want[3].tobytes()

@@ -623,14 +623,14 @@ class TestFixedBatchesAcrossEpochs:
         # matrix takes 72, so two of the 20 batches' are kept.
         pixels = Dataset(np.random.default_rng(62).integers(1, 256, (60, 3)).astype(np.uint8))
         held = []
-        gram = training._GramCache.gram
+        step = training._LivePair.step
 
-        def spy(cache, b, a):
-            out = gram(cache, b, a)
-            held.append(sum(g.nbytes for g in cache.grams.values()))
+        def spy(pair, a, b=0):
+            out = step(pair, a, b)
+            held.append(sum(g.nbytes for g in pair.grams.values()))
             return out
 
-        monkeypatch.setattr(training._GramCache, "gram", spy)
+        monkeypatch.setattr(training._LivePair, "step", spy)
         cfg = TrainConfig(batch_size=3, max_epochs=3)
         run = train(pixels, [3, 2], cfg)
         assert max(held) == 144 <= pixels.values.nbytes
