@@ -21,8 +21,8 @@ for a failure:
 
 - 0 success, a dead-network simulation included (its estimates are 0);
 - 1 usage error: a bad flag value, contradicting flags, an output flag
-  naming the file of ``--data``, ``--model`` or another output, or an
-  event budget that yields no observation;
+  naming the file of ``--data``, ``--model`` or another output, or a file
+  that ``--data`` leads to, or an event budget that yields no observation;
 - 2 data error: a data or model file that cannot be used (wrong width,
   ``--index`` out of range), and any file that cannot be read or written;
 - 3 numeric failure: training, compiling or simulating the model failed.
@@ -35,6 +35,7 @@ import gc
 import math
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -136,16 +137,51 @@ def _read(load, *args, **kwargs):
         raise DataError(e) from e
 
 
+def _data_files(args) -> list:
+    """The files ``--data`` leads to, found as :func:`lrnn.data.load_dataset`
+    finds them: a manifest's entry that ``--name`` picks (or its only entry),
+    and each file of a comma-separated CIFAR list or each ``*.bin`` file of a
+    CIFAR directory.  What cannot be read is left for ``load_dataset`` to
+    refuse, with its own message and exit code."""
+    files = []
+    try:
+        path, fmt = args.data, args.format or data_mod._guess_format(args.data)
+        if fmt == "manifest":
+            entries = data_mod._load_manifest(path)
+            name = next(iter(entries)) if args.name is None and len(entries) == 1 else args.name
+            if name not in entries:
+                return files
+            path, fmt = entries[name]["path"], entries[name]["format"]
+            files.append(path)
+        if fmt == "cifar":
+            if Path(path).is_dir():
+                files += sorted(Path(path).glob("*.bin"))
+            elif isinstance(path, str):
+                files += path.split(",")
+    except (OSError, ValueError):
+        pass
+    return files
+
+
 def _refuse_aliased_outputs(args) -> None:
-    """Refuse an output that resolves to the same file as an input or an earlier output."""
+    """Refuse an output that resolves to the same file as an input or an earlier output.
+
+    The inputs are ``--data``, ``--model`` and the files ``--data`` leads to
+    (:func:`_data_files`).
+    """
     seen: dict[str, str] = {}
-    for flag in ("data", "model", "out", "curve", "dump"):  # inputs first
+    inputs = [(args.data, "the --data file"), (getattr(args, "model", None), "the --model file")]
+    inputs += [(path, "a file that --data reads") for path in _data_files(args)]
+    for path, what in inputs:
+        if path is not None:
+            seen.setdefault(os.path.realpath(path), what)
+    for flag in ("out", "curve", "dump"):
         path = getattr(args, flag, None)
         if path is not None:
             real = os.path.realpath(path)
-            if real in seen and flag not in ("data", "model"):
-                raise UsageError(f"--{flag} {data_mod._quote(path)} names the --{seen[real]} file")
-            seen.setdefault(real, flag)
+            if real in seen:
+                raise UsageError(f"--{flag} {data_mod._quote(path)} names {seen[real]}")
+            seen[real] = f"the --{flag} file"
 
 
 def _load_data(args, width: int) -> data_mod.Dataset:

@@ -423,6 +423,13 @@ ALIAS_CASES = [
     ("eval --dump is --data", ["eval", "--model", "{model}", "--data", "{data}", "--dump", "{data}"]),
     ("simulate --out is --model", _simulate("--out", "{model}")),
     ("simulate --out links to --data", _simulate("--out", "{link}")),
+    ("train --out is the manifest's only entry", _train(data="{one_entry}", out="{data}")),
+    ("eval --dump is the manifest entry --name picks",
+     ["eval", "--model", "{model}", "--data", "{two_entries}", "--name", "b", "--dump", "{data}"]),
+    ("train --out is a file of a cifar list",
+     _train("--format", "cifar", data="{bins}/a.bin,{bins}/b.bin", arch="3072,2", out="{bins}/b.bin")),
+    ("train --curve is a batch of a cifar directory",
+     _train("--curve", "{bins}/a.bin", data="{bins}", arch="3072,2")),
 ]
 
 
@@ -460,14 +467,24 @@ class TestExitCodes:
         assert not paths["out"].exists()  # a failed command leaves no output
 
     @pytest.mark.parametrize("argv", [c[1] for c in ALIAS_CASES], ids=[c[0] for c in ALIAS_CASES])
-    def test_output_naming_an_input_or_output_is_refused(self, paths, argv, capsys):
-        (paths["tmp"] / "link.csv").symlink_to(paths["data"])
-        before = {k: paths[k].read_bytes() for k in ("data", "model")}
+    def test_output_naming_an_input_or_output_is_refused(self, paths, argv, cifar_file, capsys):
+        tmp = paths["tmp"]
+        (tmp / "link.csv").symlink_to(paths["data"])
+        entries = {"a": {"path": "narrow.csv", "format": "csv"},
+                   "b": {"path": "data.csv", "format": "csv"}}
+        (tmp / "one.json").write_text(json.dumps({"b": entries["b"]}))
+        (tmp / "two.json").write_text(json.dumps(entries))
+        (tmp / "bins").mkdir()
+        pixels = np.arange(2 * 3072).reshape(2, 3072) % 256
+        bins = [cifar_file([3, 7], pixels, f"bins/{name}.bin") for name in ("a", "b")]
+        before = {p: p.read_bytes() for p in [paths["data"], paths["model"], *bins]}
+        names = dict(paths, link=tmp / "link.csv", one_entry=tmp / "one.json",
+                     two_entries=tmp / "two.json", bins=tmp / "bins")
         capsys.readouterr()
-        assert main([a.format(link=paths["tmp"] / "link.csv", **paths) for a in argv]) == EXIT_USAGE
+        assert main([a.format(**names) for a in argv]) == EXIT_USAGE
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
-        assert {k: paths[k].read_bytes() for k in before} == before
+        assert {p: p.read_bytes() for p in before} == before
         assert not paths["out"].exists()  # nothing written
 
     def test_table_not_in_the_reader_encoding_is_a_data_error(self, paths, capsys):

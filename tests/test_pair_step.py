@@ -258,6 +258,34 @@ def test_step_outputs_need_no_clamp(case):
     assert h.max() <= 1.0 and q.max() <= 1.0
 
 
+#: Peaks above 1 only in the last row, after 62 whole groups of 16 rows.
+_TAIL_PEAK = np.vstack([np.full((1003, 16), 0.5), np.linspace(1.0, 2.0, 16)])
+
+
+@st.composite
+def peak_blocks(draw):
+    """Pre-activations: B of 0, 1 or up to 1100 rows, H of 1 to 300 units,
+    entries exactly 0 and 1 among values below 2, at times a column slice
+    that is not contiguous."""
+    b = draw(st.one_of(st.sampled_from([0, 1]), st.integers(256, 1100), st.integers(0, 1100)))
+    h = draw(st.one_of(st.integers(1, 64), st.integers(1, 300)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pre = rng.random((b, 2 * h)) * 2.0
+    pre[rng.random(pre.shape) < 0.2] = 0.0
+    pre[rng.random(pre.shape) < 0.2] = 1.0
+    return pre[:, ::2] if draw(st.booleans()) else pre[:, :h].copy()
+
+
+@given(peak_blocks())
+@example(_TAIL_PEAK)
+@example(_TAIL_PEAK[:, 1::2])
+@settings(max_examples=80, deadline=None)
+def test_saturation_scale_is_the_column_peak(pre):
+    """Regrouped or not, the peaks have the bits of one max over each column."""
+    want = pre.max(axis=0, initial=1.0)
+    assert training._saturation_scale(pre).tobytes() == want.tobytes()
+
+
 def objective(a, w, wb):
     r = a - (a @ w) @ wb
     return float(np.sum(r * r))

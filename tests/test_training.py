@@ -25,7 +25,7 @@ from lrnn import (
 )
 
 from lrnn import training
-from lrnn.model import CHUNK_VALUES, rows_per_chunk
+from lrnn.model import CHUNK_VALUES, _live_units, rows_per_chunk
 from lrnn.training import _pair_step
 from oracles import dataset_error_live_reference, scalar_update_decode, scalar_update_encode
 from synthetic import disjoint_halves, mnist_like
@@ -562,22 +562,28 @@ class TestBatchOnDeadUnits:
 
 
 def hand_chain(x, pairs, batch_size, epochs, shuffle_seed=None):
-    """Training by hand on the [0, 1] matrix ``x``: per batch, one
-    ``_pair_step`` per (W, WB) of ``pairs``, outermost first, then the decode
-    layers back out.  Batches are shuffled as ``train`` shuffles them for
-    seed ``shuffle_seed``, unless that is None.  Returns the trained pairs
-    and the batch errors."""
+    """Training by hand on the matrix ``x``: per batch, clamped to [0, 1],
+    one ``_pair_step`` per (W, WB) of ``pairs``, outermost first, then the
+    decode layers back out, each clamped.  A pair whose input is 0 on every
+    live unit is skipped with the pairs inside it, and the reconstruction
+    is 0.  The error is taken against the batch as read.  Batches are
+    shuffled as ``train`` shuffles them for seed ``shuffle_seed``, unless
+    that is None.  Returns the trained pairs and the batch errors."""
     shuffle = shuffle_seed is not None
     order = np.random.default_rng([shuffle_seed, training._SHUFFLE_STREAM]) if shuffle else None
     pairs, errors = list(pairs), []
     for _ in range(epochs):
         for batch in iter_minibatches(x, batch_size, order, shuffle):
-            a = batch
+            a = clamp_unit(batch)
             for k, (w, wb) in enumerate(pairs):
+                if not a[:, _live_units(w, wb)].any():
+                    q = np.zeros(batch.shape)
+                    break
                 w, wb, a, q = _pair_step(a, w, wb)
                 pairs[k] = (w, wb)
-            for _, wb in pairs[-2::-1]:
-                q = clamp_unit(q @ wb)
+            else:
+                for _, wb in pairs[-2::-1]:
+                    q = clamp_unit(q @ wb)
             errors.append(reconstruction_error(batch, q))
     return pairs, errors
 
@@ -605,6 +611,54 @@ class TestFixedBatchesAcrossEpochs:
         (p1, p2), errors = hand_chain(x, pairs, 10, 4, self.CFG.seed if shuffle else None)
         assert [e for _, e in report.error_curve] == errors
         assert_same_arrays(snapshot(model), [p1[0], p2[0], p2[1], p1[1]])
+
+    def assert_joint_run_equals_the_chain(self, x, run):
+        model, report = run
+        init = init_weights(model.encode_dims, self.CFG.seed)
+        (p1, p2), errors = hand_chain(x, zip(init.encode_weights, init.decode_weights[::-1]), 10, 4)
+        assert [e for _, e in report.error_curve] == errors
+        assert_same_arrays(snapshot(model), [p1[0], p2[0], p2[1], p1[1]])
+
+    def test_entries_above_one_after_the_first_batch_equal_the_chain(self):
+        """The clamp is decided once for the whole dataset, not from one
+        batch, and the error is taken against the batch as read."""
+        x = self.data()
+        x[20:] *= 3.0  # batches 2 and 3: about two thirds of the entries above 1
+        assert x[:10].max() <= 1.0 < x[20:30].max()
+        self.assert_joint_run_equals_the_chain(x, train(x, [6, 4, 2], self.CFG))
+
+    def test_outer_decode_layer_is_clamped_unless_its_step_certified_it(self):
+        """Ten hidden units over four visible ones: the outer decode columns
+        sum above 1, the outer step certifies nothing, and the clamp of its
+        layer of the reconstruction changes the curve from the first epoch."""
+        rng = np.random.default_rng(0)
+        x = rng.random((40, 4)) ** 0.05
+        x[rng.random(x.shape) < 0.3] = 0.0
+        self.assert_joint_run_equals_the_chain(x, train(x, [4, 10, 5], self.CFG))
+
+    def test_an_all_zero_batch_is_tested_every_epoch_and_never_kept(self, monkeypatch):
+        """A batch whose Gram matrix is kept skips the zero test; an all-zero
+        batch is never stepped on, so it is never kept and is tested anew in
+        every epoch, and leaves every weight as it was."""
+        x = self.data()
+        x[20:30] = 0.0  # batch 2
+        stepped, kept = [], set()
+        step = training._LivePair.step
+
+        def spy(pair, a, b=0):
+            stepped.append(b)
+            out = step(pair, a, b)
+            kept.update(pair.grams)
+            return out
+
+        seen = []
+        monkeypatch.setattr(training._LivePair, "step", spy)
+        run = train(x, [6, 4, 2], self.CFG, observer=lambda i, err, m: seen.append(snapshot(m)))
+        assert 2 not in stepped and kept == {0, 1, 3}
+        assert len(stepped) == 2 * 3 * self.CFG.max_epochs  # both pairs, three batches, each epoch
+        for epoch in range(self.CFG.max_epochs):
+            assert_same_arrays(seen[4 * epoch + 2], seen[4 * epoch + 1])
+        self.assert_joint_run_equals_the_chain(x, run)
 
     def test_greedy_equals_a_hand_chain_of_pair_steps(self):
         x = self.data()
