@@ -9,12 +9,11 @@
 Model files are binary (LRNN2, see :mod:`lrnn.model_io`); ``--curve``,
 ``--dump`` and the simulate ``--out`` stay CSV text.
 
-A CSV ``--data`` table is parsed once per content and settings: every
-command keeps the normalized table as a ``.npy`` file under
-``$XDG_CACHE_HOME/lrnn/`` (``~/.cache/lrnn/`` by default), named by a
-SHA-256 over the file's bytes, the CSV settings, the text encoding, numpy's
-version and the parser's source (see :mod:`lrnn.data`), and later commands
-read it back.  Deleting that directory is always safe.
+A CSV ``--data`` table is parsed once per content and settings, and later
+commands read the parse back from ``$XDG_CACHE_HOME/lrnn/`` (the cache is
+described in :mod:`lrnn.data`).  A rerun writes the same bytes at the same
+BLAS thread count (``OPENBLAS_NUM_THREADS``); another count can change a
+model's last bits.
 
 Exit codes are decided in one place, :func:`main`, which prints one line
 for a failure:
@@ -35,7 +34,6 @@ import gc
 import math
 import os
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -137,41 +135,20 @@ def _read(load, *args, **kwargs):
         raise DataError(e) from e
 
 
-def _data_files(args) -> list:
-    """The files ``--data`` leads to, found as :func:`lrnn.data.load_dataset`
-    finds them: a manifest's entry that ``--name`` picks (or its only entry),
-    and each file of a comma-separated CIFAR list or each ``*.bin`` file of a
-    CIFAR directory.  What cannot be read is left for ``load_dataset`` to
-    refuse, with its own message and exit code."""
-    files = []
-    try:
-        path, fmt = args.data, args.format or data_mod._guess_format(args.data)
-        if fmt == "manifest":
-            entries = data_mod._load_manifest(path)
-            name = next(iter(entries)) if args.name is None and len(entries) == 1 else args.name
-            if name not in entries:
-                return files
-            path, fmt = entries[name]["path"], entries[name]["format"]
-            files.append(path)
-        if fmt == "cifar":
-            if Path(path).is_dir():
-                files += sorted(Path(path).glob("*.bin"))
-            elif isinstance(path, str):
-                files += path.split(",")
-    except (OSError, ValueError):
-        pass
-    return files
-
-
 def _refuse_aliased_outputs(args) -> None:
     """Refuse an output that resolves to the same file as an input or an earlier output.
 
-    The inputs are ``--data``, ``--model`` and the files ``--data`` leads to
-    (:func:`_data_files`).
+    The inputs are ``--data``, ``--model`` and the files ``--data`` leads to, as
+    ``load_dataset`` finds them; a source it would refuse leads to none here.
     """
     seen: dict[str, str] = {}
     inputs = [(args.data, "the --data file"), (getattr(args, "model", None), "the --model file")]
-    inputs += [(path, "a file that --data reads") for path in _data_files(args)]
+    try:
+        path, fmt, entry, _ = data_mod._resolve(args.data, args.format, args.name, {})
+        files = [entry.get("path"), *(path if fmt == "cifar" else [])]
+        inputs += [(file, "a file that --data reads") for file in files]
+    except (OSError, ValueError):
+        pass
     for path, what in inputs:
         if path is not None:
             seen.setdefault(os.path.realpath(path), what)

@@ -7,11 +7,9 @@ by 1/255 only as rows are read, so a pixel dataset takes one byte per
 value.  Its formats:
 
 - ``idx``: IDX image files (big endian): i32 magic 0x00000803 | i32 count |
-  i32 rows | i32 cols | u8 pixels, row-wise.  Pixels are held as uint8,
-  scaled as rows are read.
+  i32 rows | i32 cols | u8 pixels, row-wise.
 - ``cifar``: CIFAR-10 binary batches: 3073-byte records, 1 label byte
-  followed by 1024 R + 1024 G + 1024 B pixel bytes.  Labels are discarded,
-  pixels held as uint8, scaled as rows are read.
+  followed by 1024 R + 1024 G + 1024 B pixel bytes.  Labels are discarded.
 - ``csv``: delimiter-separated numeric tables (UCI-style), optionally with
   a header row and a label column to drop.  ``?`` or empty cells are
   treated as missing and imputed with the column mean; ``nan`` and
@@ -22,18 +20,18 @@ A CSV table is parsed once per content and settings: the normalized
 float64 matrix is kept as a ``.npy`` file under ``$XDG_CACHE_HOME/lrnn/``
 (``~/.cache/lrnn/`` by default) and read back by later loads.  An entry is
 named by a SHA-256 over the file's bytes, the three CSV settings, the text
-encoding the parser reads with, numpy's version and this module's source,
-so edited data, other settings, a changed parser or another numpy never
-meet an old parse.  An entry that cannot be read or written is passed
-over, and deleting the directory is always safe.
+encoding the parser reads with, numpy's version and the source of the
+parser's module :mod:`lrnn._table`, so edited data, other settings, a
+changed parser or another numpy never meet an old parse, and an edit
+anywhere else keeps every entry.  An entry that cannot be read or written
+is passed over, and deleting the directory is always safe.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import struct
-from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
 from numbers import Integral
 from pathlib import Path
@@ -41,11 +39,12 @@ from typing import Iterator
 
 import numpy as np
 
+from . import _table
+from ._table import _QUOTED_CHARS, _load_csv, _normalize_unit_interval, _quote
+from ._table import _parse_bulk, _scan_csv  # noqa: F401  (kept importable from here)
+
 IDX_IMAGE_MAGIC = 0x00000803
 CIFAR_RECORD_BYTES = 3073  # 1 label byte + 3 * 1024 pixel bytes
-
-_MISSING_CELLS = {"", "?"}
-_QUOTED_CHARS = 40  # the longest part of a file's text that an error message quotes
 
 
 def _as_2d(a, name: str) -> np.ndarray:
@@ -64,15 +63,6 @@ def _check_count(name: str, value, least: int = 1) -> None:
     """Refuse the argument ``name`` unless its ``value`` is an integer >= ``least``."""
     if not _is_count(value, least):
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
-def _quote(value) -> str:
-    """``repr(value)``, or the first :data:`_QUOTED_CHARS` characters of its text
-    quoted when the text is longer: a string's own text, else its repr."""
-    text = value if isinstance(value, str) else repr(value)
-    if len(text) <= _QUOTED_CHARS:
-        return repr(value)
-    return f"{text[:_QUOTED_CHARS]!r}... ({len(text)} characters)"
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -186,162 +176,6 @@ def _load_cifar10(batch_paths: list) -> np.ndarray:
     return np.concatenate(parts, axis=0)
 
 
-def _load_csv(
-    path,
-    delimiter: str = ",",
-    has_header: bool = False,
-    label_column: int | None = None,
-) -> np.ndarray:
-    """Parse a rectangular numeric table; values are returned unnormalized.
-
-    ``label_column`` indexes the raw row (negative indices allowed) and is
-    dropped before numeric conversion, so non-numeric class labels are fine.
-    Missing cells (empty or ``?``) are imputed with their column mean;
-    cells reading as NaN or +-inf raise ``ValueError`` naming line and column.
-
-    A clean table is parsed in bulk by :func:`_parse_bulk`; any other
-    table goes through the line scan :func:`_scan_csv`, which gives the
-    same values bit for bit, imputes missing cells and words every error.
-    """
-    x = _parse_bulk(path, delimiter, has_header, label_column)
-    return _scan_csv(path, delimiter, has_header, label_column) if x is None else x
-
-
-def _parse_bulk(
-    path, delimiter: str, has_header: bool, label_column: int | None
-) -> np.ndarray | None:
-    """The table in one ``np.loadtxt`` call, or None where the line scan must decide.
-
-    The file is opened as the scan opens it, so both see the same lines.
-    Leading blank lines and the header are consumed here, because ``skiprows``
-    would count a blank line as the header.  Any quote goes to the scan, which
-    unquotes as ``csv`` does.  The label column is read as zeros and dropped.
-    ``loadtxt`` refuses ragged rows, an out-of-range label column, missing
-    cells and what only ``float`` reads (``1_0``); a non-finite value and a
-    table of only the label column also return None.
-    """
-    if delimiter in '"\r\n':
-        return None
-    label = {} if label_column is None else {label_column: lambda c: math.nan if '"' in c else 0.0}
-    try:
-        with open(path, newline="") as f:
-            header = has_header
-            while True:
-                start = f.tell()
-                line = f.readline()
-                if not line or '"' in line:
-                    return None
-                if line.replace(delimiter, "").strip():  # the scan skips rows of blank cells
-                    if not header:
-                        break
-                    header = False
-            f.seek(start)
-            x = np.loadtxt(
-                f, delimiter=delimiter, comments=None, converters=label, encoding=None, ndmin=2
-            )
-    except (TypeError, ValueError):  # the scan words a parse error or a label column past int64
-        return None
-    if not np.isfinite(x).all() or label and x.shape[1] == 1:
-        return None
-    return np.delete(x, label_column, axis=1) if label else x
-
-
-def _scan_csv(path, delimiter: str, has_header: bool, label_column: int | None) -> np.ndarray:
-    """:func:`_load_csv` one cell at a time, naming the line and column of any error."""
-    import csv  # here, so that only this fallback pays for the import
-
-    path = Path(path)
-    cells = array("d")  # every data cell, row after row, 8 bytes apiece
-    line_nos = array("q")  # file line of each data row
-    missing = array("q")  # position in ``cells`` of each missing cell
-    width: int | None = None
-    header = has_header
-
-    def records(f):
-        """Each record with the file line it ends on; a ``csv.Error`` or bytes that are
-        not text as a ``ValueError``."""
-        reader = csv.reader(f, delimiter=delimiter)
-        try:
-            for record in reader:
-                yield reader.line_num, record
-        except csv.Error as e:  # such as a field over csv's size limit
-            raise ValueError(f"{path}:{reader.line_num}: {e}") from None
-        except UnicodeDecodeError:  # decoded a chunk ahead of the reader: no line to name
-            raise ValueError(f"{path}: not text in the {f.encoding} encoding") from None
-
-    with open(path, newline="") as f:
-        for line_no, record in records(f):
-            if all(cell.strip() == "" for cell in record):
-                continue
-            if header:
-                header = False
-                continue
-            if label_column is not None:
-                try:
-                    del record[label_column]
-                except IndexError:
-                    raise ValueError(
-                        f"{path}:{line_no}: no column {_quote(label_column)} in row of "
-                        f"width {len(record)}"
-                    ) from None
-            if width is None:
-                width = len(record)
-                if not width:
-                    raise ValueError(f"{path}: no data column besides label column {label_column}")
-            elif len(record) != width:
-                raise ValueError(
-                    f"{path}:{line_no}: ragged row of width {len(record)}, expected {width}"
-                )
-            for col, cell in enumerate(record):
-                cell = cell.strip()
-                if cell in _MISSING_CELLS:
-                    missing.append(len(cells))
-                    cells.append(0.0)
-                    continue
-                try:
-                    cells.append(float(cell))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}:{line_no}: non-numeric cell {_quote(cell)} in column {col}"
-                    ) from None
-            line_nos.append(line_no)
-    if not line_nos:
-        raise ValueError(f"{path}: no data rows")
-    x = np.frombuffer(cells, dtype=np.float64).reshape(len(line_nos), width)
-    if not np.isfinite(x).all():
-        row, col = np.argwhere(~np.isfinite(x))[0]
-        raise ValueError(
-            f"{path}:{line_nos[row]}: non-finite cell {float(x[row, col])} in column {col}"
-        )
-    if missing:
-        rows, cols = np.divmod(np.asarray(missing), width)
-        empty = np.flatnonzero(np.bincount(cols, minlength=width) == len(line_nos))
-        if empty.size:
-            raise ValueError(f"{path}: column(s) {empty.tolist()} have no values at all")
-        x[rows, cols] = math.nan
-        # Averaged over a power of two that puts each column inside (-2, 2),
-        # a column's sum cannot overflow; scaling by a power of two changes no
-        # bit of the mean unless a scaled value is subnormal.
-        scale = np.ldexp(1.0, np.frexp(np.nanmax(np.abs(x), axis=0))[1] - 1)
-        x[rows, cols] = (np.nanmean(x / scale, axis=0) * scale)[cols]
-    return x
-
-
-def _normalize_unit_interval(x: np.ndarray) -> np.ndarray:
-    """Linearly map each column onto [0, 1]; constant columns map to 0.
-
-    Values and ends are halved before they are subtracted, so the span of
-    any finite column is finite.  Halving changes no bit of the result
-    unless a halved value or difference is subnormal.
-    """
-    mins = x.min(axis=0) / 2.0
-    spans = x.max(axis=0) / 2.0 - mins
-    out = x / 2.0
-    out -= mins  # exactly 0 in a constant column, so dividing it by 1 keeps 0
-    out /= np.where(spans > 0.0, spans, 1.0)
-    return out
-
-
 def _load_table(path, delimiter: str, has_header: bool, label_column: int | None) -> np.ndarray:
     """The CSV table at ``path`` as :func:`_load_csv` parses it, normalized, parsed once.
 
@@ -357,7 +191,7 @@ def _load_table(path, delimiter: str, has_header: bool, label_column: int | None
 
     with open(path, newline="") as f:  # opened as the parser opens it, to learn its encoding
         seen = os.fstat(f.fileno())
-        source = Path(__file__).read_bytes()
+        source = Path(_table.__file__).read_bytes()
         # The repr ends where its parenthesis closes and holds the source's
         # length, so the inputs of two different keys never run into each other.
         settings = (delimiter, has_header, label_column, f.encoding, np.__version__, len(source))
@@ -446,16 +280,10 @@ def load_dataset(
     ``csv`` for ``*.csv``, ``cifar`` for a directory or a ``*.bin`` file
     (comma-separated ``*.bin`` files included), and ``idx`` for anything else.
 
-    IDX and CIFAR pixels are held as uint8 and scaled by 1/255 as rows are
-    read; CSV tables are column-normalized.  A CSV table is parsed once:
-    the normalized matrix is cached as a float64 ``.npy`` file under
-    ``$XDG_CACHE_HOME/lrnn/`` (``~/.cache/lrnn/`` by default), keyed by a
-    SHA-256 over the file's bytes, the three CSV settings, the text
-    encoding, numpy's version and this module's source, and later loads of
-    the same bytes under the same settings read that file back.  Deleting
-    the directory is always safe.  ``fmt="cifar"`` accepts a
-    single file, a directory (all ``*.bin`` files, sorted), a list of files
-    or a string of comma-separated files.  ``fmt="manifest"`` loads entry ``name`` of the
+    A CSV table is column-normalized and parsed once (the module docstring
+    describes the cache).  ``fmt="cifar"`` accepts a single file, a
+    directory (all ``*.bin`` files, sorted), a list of files or a string of
+    comma-separated files.  ``fmt="manifest"`` loads entry ``name`` of the
     manifest at ``path``, or its only entry when ``name`` is None; the
     entry's own settings replace ``delimiter``, ``has_header`` and
     ``label_column``.  Those three are refused as a manifest's are.  An
@@ -463,30 +291,45 @@ def load_dataset(
     """
     settings = {"delimiter": delimiter, "header": has_header, "label_column": label_column}
     _check_settings(settings, "load_dataset")
+    path, fmt, settings, where = _resolve(path, fmt, name, settings)
+    with _reading(where, settings.get("path")):
+        if fmt == "idx":
+            x = _load_idx(path)
+        elif fmt == "cifar":
+            x = _load_cifar10(path)
+        elif fmt == "csv":
+            x = _load_table(path, settings.get("delimiter", ","), settings.get("header", False),
+                            settings.get("label_column"))
+        else:
+            raise ValueError(f"{where}unknown dataset format {_quote(fmt)}")
+    return Dataset(x)
+
+
+def _resolve(path, fmt, name, settings: dict) -> tuple:
+    """What :func:`load_dataset` reads for its arguments: (path, format, settings, where).
+
+    A manifest gives way to its entry ``name`` (or its only entry): the
+    entry's path and format, the entry itself as the settings, and as
+    ``where`` the prefix of its messages (``""`` for any other source).  A
+    CIFAR source becomes its batch files.  The errors are ``load_dataset``'s.
+    """
     if fmt is None:
         fmt = _guess_format(path)
-    where = ""  # for a manifest entry, the manifest and the entry's name
+    where = ""
     if fmt == "manifest":
         entries = _load_manifest(path)
         if name is None:
             if len(entries) != 1:
-                raise ValueError(
-                    f"manifest {path} has {len(entries)} datasets; pick one by name"
-                )
+                raise ValueError(f"manifest {path} has {len(entries)} datasets; pick one by name")
             name = next(iter(entries))
         if name not in entries:
             known = ", ".join(sorted(entries))
             known = known if len(known) <= _QUOTED_CHARS else _quote(known)
             raise ValueError(f"dataset {_quote(name)} not in manifest (has: {known})")
-        e = entries[name]
-        where = f"{path}: entry {_quote(name)}: "
-        path, fmt = e["path"], e["format"]
-        delimiter, label_column = e.get("delimiter", ","), e.get("label_column")
-        has_header = e.get("header", False)
-    try:
-        if fmt == "idx":
-            x = _load_idx(path)
-        elif fmt == "cifar":
+        settings, where = entries[name], f"{path}: entry {_quote(name)}: "
+        path, fmt = settings["path"], settings["format"]
+    if fmt == "cifar":
+        with _reading(where, path):
             if isinstance(path, (str, Path)) and Path(path).is_dir():
                 batches = sorted(Path(path).glob("*.bin"))
                 if not batches:
@@ -495,16 +338,19 @@ def load_dataset(
                 batches = path.split(",")
             else:
                 batches = [path] if isinstance(path, Path) else list(path)
-            x = _load_cifar10(batches)
-        elif fmt == "csv":
-            x = _load_table(path, delimiter, has_header, label_column)
-        else:
-            raise ValueError(f"{where}unknown dataset format {_quote(fmt)}")
-    except OSError as e:  # an entry's path names a file of the manifest's choosing: quote it
+        path = batches
+    return path, fmt, settings, where
+
+
+@contextmanager
+def _reading(where: str, path):
+    """Let an ``OSError`` pass, or raise it for a manifest entry as a ``ValueError``."""
+    try:
+        yield
+    except OSError as e:
         if not where:
             raise
         raise ValueError(f"{where}cannot read {_quote(str(path))}: {e.strerror}") from None
-    return Dataset(x)
 
 
 def _guess_format(path) -> str:

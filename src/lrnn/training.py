@@ -127,7 +127,8 @@ class TrainConfig:
     ``max_epochs`` must be set; whichever is hit first ends the run.
     ``rel_tol`` > 0 additionally stops early once the moving average of the
     minibatch error (window 50) improves by less than ``rel_tol``
-    relatively against the preceding window.
+    relatively against the preceding window.  A run repeats bit for bit
+    only at a fixed BLAS thread count; another count can change the weights' last bits.
     """
 
     batch_size: int = 100

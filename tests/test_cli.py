@@ -410,6 +410,9 @@ EXIT_CASES = [
     ("unwritable eval --dump",
      ["eval", "--model", "{model}", "--data", "{data}", "--dump", "{tmp}/no/r.csv"], EXIT_DATA),
     ("unwritable simulate --out", _simulate("--out", "{tmp}/no/s.csv"), EXIT_DATA),
+    ("manifest of two entries without --name", _train(data="{pair}"), EXIT_DATA),
+    ("--name not in the manifest", _train("--name", "c", data="{pair}"), EXIT_DATA),
+    ("cifar directory without a batch", _train(data="{empty}", arch="3072,2"), EXIT_DATA),
 ]
 
 
@@ -430,6 +433,8 @@ ALIAS_CASES = [
      _train("--format", "cifar", data="{bins}/a.bin,{bins}/b.bin", arch="3072,2", out="{bins}/b.bin")),
     ("train --curve is a batch of a cifar directory",
      _train("--curve", "{bins}/a.bin", data="{bins}", arch="3072,2")),
+    ("train --out is a batch of the cifar directory a manifest entry names",
+     _train(data="{bins_entry}", arch="3072,2", out="{bins}/a.bin")),
 ]
 
 
@@ -449,9 +454,16 @@ class TestExitCodes:
         lost_entry.write_text(json.dumps({"d": {"path": "missing.csv", "format": "csv"}}))
         long_field = tmp_path / "long_field.csv"  # csv refuses a field of over 131,072 characters
         long_field.write_text(f'1,2,3,4\n5,6,7,"{"8" * 200_000}"\n')
+        pair = tmp_path / "pair.json"  # a load must name one of its two entries
+        pair.write_text(json.dumps({"a": {"path": "narrow.csv", "format": "csv"},
+                                    "b": {"path": "data.csv", "format": "csv"}}))
+        bins_entry = tmp_path / "bins.json"  # its entry is the cifar directory "bins"
+        bins_entry.write_text(json.dumps({"c": {"path": "bins", "format": "cifar"}}))
+        (tmp_path / "empty").mkdir()
         return {"data": csv_dataset, "model": model, "narrow": narrow, "manifest": manifest,
                 "lost_entry": lost_entry, "long_field": long_field, "tmp": tmp_path,
-                "out": tmp_path / "out"}
+                "out": tmp_path / "out", "pair": pair, "bins_entry": bins_entry,
+                "empty": tmp_path / "empty"}
 
     @pytest.mark.parametrize("argv,code", [c[1:] for c in EXIT_CASES],
                              ids=[c[0] for c in EXIT_CASES])

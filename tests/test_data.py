@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lrnn._table
 import lrnn.data
 from lrnn import Dataset, iter_minibatches, load_dataset
 from lrnn.data import (
@@ -603,6 +604,32 @@ class TestTableCache:
         first = load_dataset(f).values
         self.refuse_parsing(monkeypatch)
         assert load_dataset(f).values.tobytes() == first.tobytes() == self.fresh(f).tobytes()
+
+    @staticmethod
+    def edited_copy(module, tmp_path, monkeypatch):
+        """Point ``module.__file__`` at a copy of its source with one comment added."""
+        copy = tmp_path / Path(module.__file__).name
+        copy.write_bytes(Path(module.__file__).read_bytes() + b"# edited\n")
+        monkeypatch.setattr(module, "__file__", str(copy))
+
+    def test_an_edit_outside_the_parser_keeps_the_entry(self, tmp_path, table_cache,
+                                                        monkeypatch):
+        f = tmp_path / "t.csv"
+        f.write_text("1,2\n3,4\n6,5\n")
+        first = load_dataset(f).values
+        self.edited_copy(lrnn.data, tmp_path, monkeypatch)
+        self.refuse_parsing(monkeypatch)
+        assert load_dataset(f).values.tobytes() == first.tobytes()
+        assert len(self.entries(table_cache)) == 1
+
+    def test_an_edit_to_the_parser_parses_again_into_a_second_entry(self, tmp_path, table_cache,
+                                                                    monkeypatch):
+        f = tmp_path / "t.csv"
+        f.write_text("1,2\n3,4\n6,5\n")
+        first = load_dataset(f).values
+        self.edited_copy(lrnn._table, tmp_path, monkeypatch)
+        assert load_dataset(f).values.tobytes() == first.tobytes()
+        assert len(self.entries(table_cache)) == 2  # only a parse writes an entry
 
     def test_image_files_never_reach_the_cache(self, idx_file, cifar_file, table_cache):
         load_dataset(idx_file(np.zeros((2, 3, 3), dtype=np.uint8)), "idx")

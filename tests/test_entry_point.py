@@ -66,7 +66,8 @@ class TestEntryPoint:
         assert main(args) == EXIT_OK
         assert proc.stdout == capsys.readouterr().out
         assert proc.stdout.startswith("reconstruction error: ")
-        assert imported == {"lrnn", "lrnn.cli", "lrnn.data", "lrnn.model", "lrnn.model_io"}
+        assert imported == {"lrnn", "lrnn.cli", "lrnn.data", "lrnn._table", "lrnn.model",
+                            "lrnn.model_io"}
 
     def test_train_writes_what_main_writes_without_the_simulator(self, trained):
         tmp, _, model, train = trained
@@ -117,6 +118,13 @@ class TestImportGraph:
         proc, imported = run_python("-c", "import lrnn", cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert imported == {"lrnn"}
+
+    def test_the_table_parser_imports_no_other_lrnn_module(self, tmp_path):
+        """The table cache keys a parse by ``lrnn._table``'s source alone, so nothing
+        outside that module may take part in a parse."""
+        proc, imported = run_python("-c", "import lrnn._table", cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert imported == {"lrnn", "lrnn._table"}
 
     def test_only_a_table_load_imports_hashlib(self, tmp_path, idx_file, trained):
         images = idx_file(np.zeros((2, 3, 3), dtype=np.uint8))
